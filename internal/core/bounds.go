@@ -34,17 +34,8 @@ type Bounds struct {
 // 1-based indexing — which also reproduces the paper's own worked example
 // ([67, 50, 10, 10] for accesses [80,70,50,10]); we implement that.
 func Restrict(p int, tupsIn, tupsOut, bntSampled float64) (Bounds, error) {
-	if p <= 0 {
-		return Bounds{}, fmt.Errorf("core: non-positive predicate count %d", p)
-	}
-	if tupsIn <= 0 {
-		return Bounds{}, fmt.Errorf("core: non-positive input cardinality %v", tupsIn)
-	}
-	if tupsOut < 0 || tupsOut > tupsIn {
-		return Bounds{}, fmt.Errorf("core: output cardinality %v outside [0, %v]", tupsOut, tupsIn)
-	}
-	if bntSampled < 0 {
-		return Bounds{}, fmt.Errorf("core: negative sampled BNT %v", bntSampled)
+	if err := checkRestrict(p, tupsIn, tupsOut, bntSampled); err != nil {
+		return Bounds{}, err
 	}
 	b := Bounds{
 		TupsIn:     tupsIn,
@@ -63,36 +54,52 @@ func Restrict(p int, tupsIn, tupsOut, bntSampled float64) (Bounds, error) {
 			b.UpperTuple[i] = tupsIn
 		}
 		b.LowerTuple[i] = tupsOut
-
-		if i == p-1 {
-			b.UpperBNT[i] = tupsOut
-			b.LowerBNT[i] = tupsOut
-			continue
-		}
-		// Eq. (8): positions 0..i all take the same maximal value x while
-		// later positions take tupsOut: (i+1)*x + (p-1-i)*tupsOut = BNT.
-		up := (bntSampled - float64(p-1-i)*tupsOut) / float64(i+1)
-		if up > tupsIn {
-			up = tupsIn
-		}
-		if up < tupsOut {
-			up = tupsOut
-		}
-		b.UpperBNT[i] = up
-
-		// Eq. (9), corrected divisor: positions before i maxed at tupsIn,
-		// last pinned at tupsOut, remainder spread over p-1-i positions of
-		// which position i is the largest.
-		lo := (bntSampled - tupsOut - float64(i)*tupsIn) / float64(p-1-i)
-		if lo < tupsOut {
-			lo = tupsOut
-		}
-		if lo > b.UpperBNT[i] {
-			lo = b.UpperBNT[i]
-		}
-		b.LowerBNT[i] = lo
+		b.LowerBNT[i], b.UpperBNT[i] = bntBounds(i, p, tupsIn, tupsOut, bntSampled)
 	}
 	return b, nil
+}
+
+func checkRestrict(p int, tupsIn, tupsOut, bntSampled float64) error {
+	if p <= 0 {
+		return fmt.Errorf("core: non-positive predicate count %d", p)
+	}
+	if tupsIn <= 0 {
+		return fmt.Errorf("core: non-positive input cardinality %v", tupsIn)
+	}
+	if tupsOut < 0 || tupsOut > tupsIn {
+		return fmt.Errorf("core: output cardinality %v outside [0, %v]", tupsOut, tupsIn)
+	}
+	if bntSampled < 0 {
+		return fmt.Errorf("core: negative sampled BNT %v", bntSampled)
+	}
+	return nil
+}
+
+// bntBounds returns the BNT-derived access bounds (Eq. 8, 9) of position i.
+func bntBounds(i, p int, tupsIn, tupsOut, bntSampled float64) (lo, up float64) {
+	if i == p-1 {
+		return tupsOut, tupsOut
+	}
+	// Eq. (8): positions 0..i all take the same maximal value x while
+	// later positions take tupsOut: (i+1)*x + (p-1-i)*tupsOut = BNT.
+	up = (bntSampled - float64(p-1-i)*tupsOut) / float64(i+1)
+	if up > tupsIn {
+		up = tupsIn
+	}
+	if up < tupsOut {
+		up = tupsOut
+	}
+	// Eq. (9), corrected divisor: positions before i maxed at tupsIn,
+	// last pinned at tupsOut, remainder spread over p-1-i positions of
+	// which position i is the largest.
+	lo = (bntSampled - tupsOut - float64(i)*tupsIn) / float64(p-1-i)
+	if lo < tupsOut {
+		lo = tupsOut
+	}
+	if lo > up {
+		lo = up
+	}
+	return lo, up
 }
 
 // ProductBounds converts the BNT access bounds into bounds on cumulative

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	cachemodel "progopt/internal/costmodel/cache"
 	"progopt/internal/costmodel/markov"
@@ -114,15 +115,41 @@ type Estimation struct {
 	NMEvaluations int
 }
 
-// EstimateSelectivities inverts the counter cost models: it searches the
-// (bounded, §4.1) space of cumulative selectivity products for the vector
-// whose predicted counters (§3) best match the sample, using Nelder-Mead
-// restarts over the §4.3 start-point sequence.
+// EstimateSelectivities runs Estimator.Estimate on a fresh workspace.
+func EstimateSelectivities(s CounterSample, cfg EstimatorConfig) (Estimation, error) {
+	return new(Estimator).Estimate(s, cfg)
+}
+
+// Estimator is the workspace of the selectivity estimator: the bounds of the
+// free dimensions, the null point, the objective's selectivity scratch, the
+// start-point generator and the Nelder-Mead simplex. Estimate reuses every
+// buffer, so after the first call of a given predicate count the only
+// allocations are the returned Sels and Products. An Estimator is not safe
+// for concurrent use: each driver run owns one.
+type Estimator struct {
+	lo, hi, null []float64
+	x0, bestX    []float64
+	sels         []float64
+	gen          StartPointGen
+	nm           nmWorkspace
+
+	// The current call's inputs, read by objective.
+	sample   CounterSample
+	qualFrac float64
+	params   peo.Params
+	weights  CounterWeights
+	evals    int
+}
+
+// Estimate inverts the counter cost models: it searches the (bounded, §4.1)
+// space of cumulative selectivity products for the vector whose predicted
+// counters (§3) best match the sample, using Nelder-Mead restarts over the
+// §4.3 start-point sequence.
 //
 // The paper's Eq. (10) literally sums signed differences, which would cancel
 // opposite-signed errors; we sum absolute differences, which is evidently
 // the intent (and is what makes the minimum meaningful).
-func EstimateSelectivities(s CounterSample, cfg EstimatorConfig) (Estimation, error) {
+func (e *Estimator) Estimate(s CounterSample, cfg EstimatorConfig) (Estimation, error) {
 	p := len(cfg.Widths)
 	if p == 0 {
 		return Estimation{}, fmt.Errorf("core: no operators to estimate")
@@ -146,131 +173,146 @@ func EstimateSelectivities(s CounterSample, cfg EstimatorConfig) (Estimation, er
 			Starts:   0,
 		}, nil
 	}
-
-	bounds, err := Restrict(p, s.N, s.Qualifying, s.BNT)
-	if err != nil {
+	if err := checkRestrict(p, s.N, s.Qualifying, s.BNT); err != nil {
 		return Estimation{}, err
 	}
-	prodLo, prodHi := bounds.ProductBounds()
-	// The last product is pinned to the exact output fraction; only the
-	// first p-1 products are free.
-	lo, hi := prodLo[:p-1], prodHi[:p-1]
 
-	params := peo.Params{
+	// The last product is pinned to the exact output fraction; only the
+	// first p-1 products are free, bounded by the §4.1 access bounds.
+	d := p - 1
+	e.lo, e.hi, e.null = resized(e.lo, d), resized(e.hi, d), resized(e.null, d)
+	e.x0, e.bestX, e.sels = resized(e.x0, d), resized(e.bestX, d), resized(e.sels, p)
+	for i := 0; i < d; i++ {
+		lo, up := bntBounds(i, p, s.N, s.Qualifying, s.BNT)
+		e.lo[i], e.hi[i] = lo/s.N, up/s.N
+	}
+	e.sample, e.qualFrac, e.evals = s, qualFrac, 0
+	e.params = peo.Params{
 		N:         int(s.N),
 		Widths:    cfg.Widths,
 		AggWidths: cfg.AggWidths,
 		Geometry:  cfg.Geometry,
 		Chain:     cfg.Chain,
 	}
-
-	evals := 0
-	selsOf := func(x []float64) ([]float64, float64) {
-		sels := make([]float64, p)
-		penalty := 0.0
-		prev := 1.0
-		for i := 0; i < p; i++ {
-			var prod float64
-			if i < p-1 {
-				prod = x[i]
-			} else {
-				prod = qualFrac
-			}
-			if prod > prev {
-				penalty += (prod - prev) * s.N * 10
-				prod = prev
-			}
-			if prev <= 0 {
-				sels[i] = 0
-			} else {
-				sels[i] = prod / prev
-			}
-			if sels[i] > 1 {
-				sels[i] = 1
-			}
-			if sels[i] < 0 {
-				sels[i] = 0
-			}
-			prev = prod
-		}
-		return sels, penalty
-	}
-	w := cfg.Weights
-	if w == nil {
-		w = &CounterWeights{BNT: 1, L3: 1, MPNotTaken: 1, MPTaken: 1}
-	}
-	objective := func(x []float64) float64 {
-		evals++
-		sels, penalty := selsOf(x)
-		est, err := peo.Counters(params, sels)
-		if err != nil {
-			return math.Inf(1)
-		}
-		return w.BNT*math.Abs(s.BNT-est.BNT) +
-			w.L3*math.Abs(s.L3-est.L3) +
-			w.MPNotTaken*math.Abs(s.MPNotTaken-est.MPNotTaken) +
-			w.MPTaken*math.Abs(s.MPTaken-est.MPTaken) +
-			penalty
+	e.weights = CounterWeights{BNT: 1, L3: 1, MPNotTaken: 1, MPTaken: 1}
+	if cfg.Weights != nil {
+		e.weights = *cfg.Weights
 	}
 
 	// Null hypothesis: overall selectivity splits evenly, so products decay
 	// geometrically toward qualFrac.
-	null := make([]float64, p-1)
 	perPred := math.Pow(math.Max(qualFrac, 1e-12), 1/float64(p))
 	prod := 1.0
-	for i := range null {
+	for i := range e.null {
 		prod *= perPred
-		null[i] = prod
+		e.null[i] = prod
 	}
-	gen, err := NewStartPointGen(lo, hi, null)
-	if err != nil {
+	if err := e.gen.reset(e.lo, e.hi, e.null); err != nil {
 		return Estimation{}, err
 	}
 
-	best := Estimation{Cost: math.Inf(1)}
+	bestCost := math.Inf(1)
+	found := false
 	noImprove := 0
 	starts := 0
 	for starts < cfg.MaxStarts && noImprove < cfg.NoImproveLimit {
-		x0 := gen.Next()
-		res, err := NelderMead(objective, x0, NMOptions{
+		res, err := e.nm.minimize(e.objective, e.gen.nextInto(e.x0), NMOptions{
 			MaxIter: cfg.MaxIterNM,
 			AbsTol:  cfg.AbsTol,
-			Lo:      lo,
-			Hi:      hi,
+			Lo:      e.lo,
+			Hi:      e.hi,
 		})
 		if err != nil {
 			return Estimation{}, err
 		}
 		starts++
-		if res.F < best.Cost-cfg.AbsTol {
-			sels, _ := selsOf(res.X)
-			products := make([]float64, p)
-			pr := 1.0
-			for i, sl := range sels {
-				pr *= sl
-				products[i] = pr
-			}
-			best = Estimation{Sels: sels, Products: products, Cost: res.F}
+		if res.F < bestCost-cfg.AbsTol {
+			copy(e.bestX, res.X)
+			bestCost = res.F
+			found = true
 			noImprove = 0
 			// A start that drove the counter mismatch below the tolerance
 			// cannot be improved upon meaningfully; stop early to keep the
 			// run-time optimization budget small (§4.4's trade-off).
-			if best.Cost <= cfg.AbsTol {
+			if bestCost <= cfg.AbsTol {
 				break
 			}
 		} else {
 			noImprove++
 		}
 	}
-	best.Starts = starts
-	best.NMEvaluations = evals
-	if best.Sels == nil {
+
+	// The returned slices escape into driver stats and samples, so they are
+	// the call's only fresh allocations.
+	best := Estimation{Sels: make([]float64, p), Cost: bestCost, Starts: starts, NMEvaluations: e.evals}
+	if !found {
 		// Every start failed to beat +Inf (cannot happen with a finite
 		// objective, but stay defensive): fall back to the null hypothesis.
-		sels, _ := selsOf(null)
-		best.Sels = sels
+		e.selsOf(best.Sels, e.null)
+		return best, nil
+	}
+	e.selsOf(best.Sels, e.bestX)
+	best.Products = make([]float64, p)
+	pr := 1.0
+	for i, sl := range best.Sels {
+		pr *= sl
+		best.Products[i] = pr
 	}
 	return best, nil
+}
+
+// resized returns buf with length n, reusing its storage when large enough.
+func resized(buf []float64, n int) []float64 {
+	return slices.Grow(buf[:0], n)[:n]
+}
+
+// selsOf converts free cumulative products x into per-predicate
+// selectivities in sels and returns the penalty for non-monotone products.
+func (e *Estimator) selsOf(sels, x []float64) float64 {
+	p := len(sels)
+	penalty := 0.0
+	prev := 1.0
+	for i := 0; i < p; i++ {
+		var prod float64
+		if i < p-1 {
+			prod = x[i]
+		} else {
+			prod = e.qualFrac
+		}
+		if prod > prev {
+			penalty += (prod - prev) * e.sample.N * 10
+			prod = prev
+		}
+		if prev <= 0 {
+			sels[i] = 0
+		} else {
+			sels[i] = prod / prev
+		}
+		if sels[i] > 1 {
+			sels[i] = 1
+		}
+		if sels[i] < 0 {
+			sels[i] = 0
+		}
+		prev = prod
+	}
+	return penalty
+}
+
+// objective is the Eq. (10) counter mismatch at free products x.
+func (e *Estimator) objective(x []float64) float64 {
+	e.evals++
+	penalty := e.selsOf(e.sels, x)
+	est, err := peo.Counters(e.params, e.sels)
+	if err != nil {
+		return math.Inf(1)
+	}
+	w, s := &e.weights, &e.sample
+	return w.BNT*math.Abs(s.BNT-est.BNT) +
+		w.L3*math.Abs(s.L3-est.L3) +
+		w.MPNotTaken*math.Abs(s.MPNotTaken-est.MPNotTaken) +
+		w.MPTaken*math.Abs(s.MPTaken-est.MPTaken) +
+		penalty
 }
 
 // AscendingOrder returns the positions of sels sorted by increasing

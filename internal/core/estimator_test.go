@@ -2,17 +2,19 @@ package core
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	cachemodel "progopt/internal/costmodel/cache"
 	"progopt/internal/costmodel/markov"
 	"progopt/internal/costmodel/peo"
+	"progopt/internal/race"
 )
 
 // syntheticSample produces the exact counter values the forward model
 // predicts for known selectivities — the estimator must recover selectivities
 // close to the truth from them (model inversion round trip).
-func syntheticSample(t *testing.T, sels []float64, n int) (CounterSample, EstimatorConfig) {
+func syntheticSample(t testing.TB, sels []float64, n int) (CounterSample, EstimatorConfig) {
 	t.Helper()
 	widths := make([]int, len(sels))
 	for i := range widths {
@@ -174,6 +176,92 @@ func TestEstimateMultiStartEscapesLocalOptimum(t *testing.T) {
 	if multi > single/3 {
 		t.Errorf("multi-start err %v not ≪ single-start err %v", multi, single)
 	}
+}
+
+// TestEstimatorReuseMatchesFresh runs every golden case through one
+// Estimator, twice and with the predicate count changing between calls: a
+// reused workspace must give the bits a fresh one gives, and an estimate
+// already returned must not change when the workspace runs again.
+func TestEstimatorReuseMatchesFresh(t *testing.T) {
+	cases := goldenCases(t)
+	var e Estimator
+	type kept struct {
+		est  Estimation
+		snap goldenEstimate
+	}
+	var all []kept
+	for round := 0; round < 2; round++ {
+		for _, c := range cases {
+			fresh, err := EstimateSelectivities(c.sample, c.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := e.Estimate(c.sample, c.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, snap := goldenOf(c.name, fresh), goldenOf(c.name, got)
+			if !reflect.DeepEqual(snap, want) {
+				t.Errorf("round %d %s: reused workspace gives %+v, fresh %+v", round, c.name, snap, want)
+			}
+			all = append(all, kept{got, snap})
+		}
+	}
+	for _, k := range all {
+		if now := goldenOf(k.snap.Name, k.est); !reflect.DeepEqual(now, k.snap) {
+			t.Errorf("%s: returned estimate changed after later calls", k.snap.Name)
+		}
+	}
+}
+
+// TestEstimatorAllocations pins the allocation-free steady state: one
+// objective evaluation allocates nothing, and a whole estimation on a warm
+// workspace allocates only the returned Sels and Products.
+func TestEstimatorAllocations(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector allocates")
+	}
+	for _, truth := range [][]float64{{0.4, 0.2}, {0.8, 0.3, 0.6, 0.1}, {0.9, 0.05, 0.5, 0.7, 0.3, 0.6, 0.8, 0.2}} {
+		s, cfg := syntheticSample(t, truth, 100000)
+		s = roundedSample(s)
+		var e Estimator
+		if _, err := e.Estimate(s, cfg); err != nil {
+			t.Fatal(err)
+		}
+		x := append([]float64(nil), e.null...)
+		var sink float64
+		if allocs := testing.AllocsPerRun(100, func() { sink = e.objective(x) }); allocs != 0 {
+			t.Errorf("p=%d: objective allocates %v times per evaluation", len(truth), allocs)
+		}
+		_ = sink
+		allocs := testing.AllocsPerRun(10, func() {
+			if _, err := e.Estimate(s, cfg); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 2 {
+			t.Errorf("p=%d: warm Estimate allocates %v times, want at most 2", len(truth), allocs)
+		}
+	}
+}
+
+// BenchmarkEstimateSelectivities measures one optimization cycle's
+// estimation on a warm workspace, as the adaptive drivers run it: four
+// predicates, PMU-like whole-event counters.
+func BenchmarkEstimateSelectivities(b *testing.B) {
+	s, cfg := syntheticSample(b, []float64{0.8, 0.3, 0.6, 0.1}, 100000)
+	s = roundedSample(s)
+	var e Estimator
+	evals := 0
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		est, err := e.Estimate(s, cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		evals += est.NMEvaluations
+	}
+	b.ReportMetric(float64(evals)/float64(b.N), "evals/op")
 }
 
 func TestAscendingOrder(t *testing.T) {

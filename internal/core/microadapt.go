@@ -143,6 +143,8 @@ func RunMicroAdaptive(e *exec.Engine, q *exec.Query, opt Options) (exec.Result, 
 	// rejected remembers the last order validation reverted (see
 	// RunProgressive); the estimator's output is ignored while it equals it.
 	var rejected []int
+	// estimator is the run's estimation workspace, reused every cycle.
+	var estimator Estimator
 	if opt.Geometry.LineSize == 0 {
 		hier := c.Profile().Hierarchy
 		opt.Geometry.LineSize = hier.L3.LineSize
@@ -209,7 +211,7 @@ func RunMicroAdaptive(e *exec.Engine, q *exec.Query, opt Options) (exec.Result, 
 				Chain:     opt.Chain,
 				MaxStarts: opt.MaxStartsOverride,
 			}
-			est, err := EstimateSelectivities(sample, cfg)
+			est, err := estimator.Estimate(sample, cfg)
 			if err != nil {
 				return exec.Result{}, MicroAdaptiveStats{}, err
 			}

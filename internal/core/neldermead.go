@@ -3,7 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
 // NMOptions configure the Nelder-Mead simplex search. The defaults follow
@@ -44,8 +44,41 @@ type NMResult struct {
 
 // NelderMead minimizes f starting from x0 using the Nelder-Mead simplex
 // method (Nelder & Mead 1965), the algorithm the paper selected from NLopt
-// for its selectivity estimation.
+// for its selectivity estimation. It runs on a private workspace, so the
+// returned X belongs to the caller.
 func NelderMead(f func([]float64) float64, x0 []float64, opt NMOptions) (NMResult, error) {
+	var w nmWorkspace
+	return w.minimize(f, x0, opt)
+}
+
+// nmWorkspace holds the simplex and the trial points of a Nelder-Mead run,
+// so repeated runs of one dimensionality allocate nothing. Vertices are
+// updated by copy; minimize's result X aliases a simplex row and is valid
+// only until the workspace runs again.
+type nmWorkspace struct {
+	simplex                     [][]float64
+	values                      []float64
+	order                       []int
+	centroid, refl, expd, contr []float64
+}
+
+// resize shapes the workspace for d dimensions, reusing its buffers when the
+// dimensionality is unchanged.
+func (w *nmWorkspace) resize(d int) {
+	if len(w.values) == d+1 {
+		return
+	}
+	flat := make([]float64, (d+1)*d+4*d)
+	w.simplex = make([][]float64, d+1)
+	for i := range w.simplex {
+		w.simplex[i], flat = flat[:d:d], flat[d:]
+	}
+	w.centroid, w.refl, w.expd, w.contr = flat[:d:d], flat[d:2*d:2*d], flat[2*d:3*d:3*d], flat[3*d:]
+	w.values = make([]float64, d+1)
+	w.order = make([]int, d+1)
+}
+
+func (w *nmWorkspace) minimize(f func([]float64) float64, x0 []float64, opt NMOptions) (NMResult, error) {
 	d := len(x0)
 	if d == 0 {
 		return NMResult{}, fmt.Errorf("core: zero-dimensional optimization")
@@ -66,6 +99,7 @@ func NelderMead(f func([]float64) float64, x0 []float64, opt NMOptions) (NMResul
 	if step <= 0 {
 		step = 0.1
 	}
+	w.resize(d)
 
 	evals := 0
 	clamp := func(x []float64) {
@@ -85,13 +119,13 @@ func NelderMead(f func([]float64) float64, x0 []float64, opt NMOptions) (NMResul
 	}
 
 	// Initial simplex: x0 plus d vertices offset along each axis.
-	simplex := make([][]float64, d+1)
-	values := make([]float64, d+1)
-	simplex[0] = append([]float64(nil), x0...)
+	simplex, values := w.simplex, w.values
+	copy(simplex[0], x0)
 	clamp(simplex[0])
 	values[0] = eval(simplex[0])
 	for i := 0; i < d; i++ {
-		v := append([]float64(nil), simplex[0]...)
+		v := simplex[i+1]
+		copy(v, simplex[0])
 		h := step
 		if opt.Lo != nil && opt.Hi != nil {
 			h = step * (opt.Hi[i] - opt.Lo[i])
@@ -105,7 +139,6 @@ func NelderMead(f func([]float64) float64, x0 []float64, opt NMOptions) (NMResul
 		} else {
 			v[i] += h
 		}
-		simplex[i+1] = v
 		values[i+1] = eval(v)
 	}
 
@@ -116,13 +149,10 @@ func NelderMead(f func([]float64) float64, x0 []float64, opt NMOptions) (NMResul
 		sigma = 0.5 // shrink
 	)
 
-	order := make([]int, d+1)
+	order, centroid, refl, expd, contr := w.order, w.centroid, w.refl, w.expd, w.contr
 	iter := 0
 	for ; iter < opt.MaxIter; iter++ {
-		for i := range order {
-			order[i] = i
-		}
-		sort.Slice(order, func(a, b int) bool { return values[order[a]] < values[order[b]] })
+		orderByValue(order, values)
 		best, worst := order[0], order[d]
 		if math.Abs(values[worst]-values[best]) < opt.AbsTol {
 			if opt.XTol <= 0 {
@@ -141,7 +171,7 @@ func NelderMead(f func([]float64) float64, x0 []float64, opt NMOptions) (NMResul
 			}
 		}
 		// Centroid of all but the worst.
-		centroid := make([]float64, d)
+		clear(centroid)
 		for _, idx := range order[:d] {
 			for j := range centroid {
 				centroid[j] += simplex[idx][j]
@@ -151,7 +181,6 @@ func NelderMead(f func([]float64) float64, x0 []float64, opt NMOptions) (NMResul
 			centroid[j] /= float64(d)
 		}
 		// Reflection.
-		refl := make([]float64, d)
 		for j := range refl {
 			refl[j] = centroid[j] + alpha*(centroid[j]-simplex[worst][j])
 		}
@@ -160,25 +189,27 @@ func NelderMead(f func([]float64) float64, x0 []float64, opt NMOptions) (NMResul
 		switch {
 		case fRefl < values[best]:
 			// Expansion.
-			expd := make([]float64, d)
 			for j := range expd {
 				expd[j] = centroid[j] + gamma*(refl[j]-centroid[j])
 			}
 			if fExp := eval(expd); fExp < fRefl {
-				simplex[worst], values[worst] = expd, fExp
+				copy(simplex[worst], expd)
+				values[worst] = fExp
 			} else {
-				simplex[worst], values[worst] = refl, fRefl
+				copy(simplex[worst], refl)
+				values[worst] = fRefl
 			}
 		case fRefl < values[secondWorst]:
-			simplex[worst], values[worst] = refl, fRefl
+			copy(simplex[worst], refl)
+			values[worst] = fRefl
 		default:
 			// Contraction.
-			contr := make([]float64, d)
 			for j := range contr {
 				contr[j] = centroid[j] + rho*(simplex[worst][j]-centroid[j])
 			}
 			if fContr := eval(contr); fContr < values[worst] {
-				simplex[worst], values[worst] = contr, fContr
+				copy(simplex[worst], contr)
+				values[worst] = fContr
 			} else {
 				// Shrink toward the best vertex.
 				for _, idx := range order[1:] {
@@ -203,4 +234,24 @@ func NelderMead(f func([]float64) float64, x0 []float64, opt NMOptions) (NMResul
 		Iterations:  iter,
 		Evaluations: evals,
 	}, nil
+}
+
+// orderByValue fills order with the vertex indexes sorted by ascending
+// value. slices.SortFunc runs the same pdqsort as sort.Slice, including its
+// insertion sort for up to 12 elements, and only ever asks whether cmp < 0,
+// so a comparator derived from < alone orders ties exactly as sort.Slice
+// with a < less function does, without its reflect-based swapper.
+func orderByValue(order []int, values []float64) {
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortFunc(order, func(a, b int) int {
+		switch {
+		case values[a] < values[b]:
+			return -1
+		case values[b] < values[a]:
+			return 1
+		}
+		return 0
+	})
 }

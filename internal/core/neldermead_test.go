@@ -2,6 +2,9 @@ package core
 
 import (
 	"math"
+	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 )
 
@@ -105,5 +108,30 @@ func TestNelderMeadHonorsMaxIter(t *testing.T) {
 	}
 	if res.Iterations > 3 {
 		t.Errorf("ran %d iterations, limit 3", res.Iterations)
+	}
+}
+
+// TestOrderByValueMatchesSortSlice pins the vertex ordering to the
+// sort.Slice order it replaced, ties included, on both sides of the
+// 12-element insertion-sort cutoff.
+func TestOrderByValueMatchesSortSlice(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	for n := 1; n <= 64; n++ {
+		for trial := 0; trial < 20; trial++ {
+			values := make([]float64, n)
+			for i := range values {
+				values[i] = float64(r.Intn(1 + trial%4))
+			}
+			want := make([]int, n)
+			for i := range want {
+				want[i] = i
+			}
+			sort.Slice(want, func(a, b int) bool { return values[want[a]] < values[want[b]] })
+			got := make([]int, n)
+			orderByValue(got, values)
+			if !slices.Equal(got, want) {
+				t.Fatalf("n=%d values %v: order %v, sort.Slice %v", n, values, got, want)
+			}
+		}
 	}
 }

@@ -158,6 +158,8 @@ func RunProgressive(e *exec.Engine, q *exec.Query, opt Options) (exec.Result, St
 	// (and the probe's) output is ignored while it equals this order. Only a
 	// revert overwrites it, so a genuinely changed estimate still reorders.
 	var rejected []int
+	// estimator is the run's estimation workspace, reused every cycle.
+	var estimator Estimator
 
 	vec := 0
 	for lo := 0; lo < n; lo += vs {
@@ -241,7 +243,7 @@ func RunProgressive(e *exec.Engine, q *exec.Query, opt Options) (exec.Result, St
 				Chain:     opt.Chain,
 				MaxStarts: opt.MaxStartsOverride,
 			}
-			est, err := EstimateSelectivities(sample, cfg)
+			est, err := estimator.Estimate(sample, cfg)
 			if err != nil {
 				return exec.Result{}, Stats{}, err
 			}

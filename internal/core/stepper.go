@@ -46,6 +46,10 @@ type BlockStepper struct {
 	// estimator nor the probe proposes the measured regression again.
 	rejected []int
 
+	// est is the query's estimation workspace. A stepper belongs to one
+	// query, so served segments never share it.
+	est Estimator
+
 	// accounted is the simulated cycle cost attributed to the query so far
 	// (block makespans plus coordination), the clock ConvergedAtCycles is
 	// stamped from.
@@ -209,7 +213,7 @@ func (s *BlockStepper) AfterBlock(br exec.BlockResult, tuples int, last bool, co
 			Chain:     s.opt.Chain,
 			MaxStarts: s.opt.MaxStartsOverride,
 		}
-		est, err := EstimateSelectivities(sample, cfg)
+		est, err := s.est.Estimate(sample, cfg)
 		if err != nil {
 			return 0, err
 		}

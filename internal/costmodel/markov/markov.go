@@ -16,6 +16,20 @@ import (
 	"math"
 )
 
+// MaxStates caps the chain size. The paper's chains have at most eight
+// states; the cap lets ProbPredictTaken and Predict solve the chain in a
+// fixed-size stack array, so the estimator's objective never allocates.
+const MaxStates = 16
+
+// StatesError reports a chain larger than MaxStates.
+type StatesError struct {
+	States int
+}
+
+func (e *StatesError) Error() string {
+	return fmt.Sprintf("markov: %d states exceed the %d-state limit", e.States, MaxStates)
+}
+
 // Chain is an n-state saturating-counter chain. TakenStates of the states
 // predict "taken"; the rest predict "not taken". Selectivity p is the
 // probability that a branch is NOT taken (the tuple qualifies), matching the
@@ -26,10 +40,13 @@ type Chain struct {
 }
 
 // NewChain builds a chain with the given total and taken-predicting state
-// counts.
+// counts. More than MaxStates states is a *StatesError.
 func NewChain(states, takenStates int) (Chain, error) {
 	if states < 2 {
 		return Chain{}, fmt.Errorf("markov: need at least 2 states, got %d", states)
+	}
+	if states > MaxStates {
+		return Chain{}, &StatesError{States: states}
 	}
 	if takenStates < 1 || takenStates >= states {
 		return Chain{}, fmt.Errorf("markov: taken states %d outside [1,%d]", takenStates, states-1)
@@ -85,13 +102,19 @@ func (c Chain) TakenStates() int { return c.takenStates }
 // taken". A not-taken outcome (probability p) moves one state up, a taken
 // outcome (probability 1-p) one state down, saturating at the ends.
 func (c Chain) Stationary(p float64) []float64 {
+	return c.stationaryInto(make([]float64, c.states), p)
+}
+
+// stationaryInto writes the stationary distribution into pi, which must
+// hold exactly c.states elements, and returns it.
+func (c Chain) stationaryInto(pi []float64, p float64) []float64 {
 	if p < 0 {
 		p = 0
 	}
 	if p > 1 {
 		p = 1
 	}
-	pi := make([]float64, c.states)
+	clear(pi)
 	switch {
 	case p == 0:
 		pi[0] = 1
@@ -114,9 +137,11 @@ func (c Chain) Stationary(p float64) []float64 {
 }
 
 // ProbPredictTaken returns the stationary probability that the predictor
-// predicts "taken" (the paper's B_Tak).
+// predicts "taken" (the paper's B_Tak). It solves the chain in a stack
+// array and does not allocate.
 func (c Chain) ProbPredictTaken(p float64) float64 {
-	pi := c.Stationary(p)
+	var buf [MaxStates]float64
+	pi := c.stationaryInto(buf[:c.states], p)
 	t := 0.0
 	for i := 0; i < c.takenStates; i++ {
 		t += pi[i]

@@ -1,12 +1,14 @@
 package markov
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
 	"progopt/internal/hw/branch"
+	"progopt/internal/race"
 )
 
 func TestNewChainValidation(t *testing.T) {
@@ -21,6 +23,53 @@ func TestNewChainValidation(t *testing.T) {
 	}
 	if _, err := NewChain(6, 3); err != nil {
 		t.Errorf("valid chain rejected: %v", err)
+	}
+}
+
+func TestNewChainStateLimit(t *testing.T) {
+	if _, err := NewChain(MaxStates, MaxStates/2); err != nil {
+		t.Errorf("%d-state chain rejected: %v", MaxStates, err)
+	}
+	_, err := NewChain(MaxStates+1, 8)
+	var se *StatesError
+	if !errors.As(err, &se) || se.States != MaxStates+1 {
+		t.Fatalf("NewChain(%d, 8) error = %v, want *StatesError", MaxStates+1, err)
+	}
+	if want := "markov: 17 states exceed the 16-state limit"; err.Error() != want {
+		t.Errorf("error text %q, want %q", err.Error(), want)
+	}
+}
+
+// TestPredictDoesNotAllocate pins the stack-array solve: the estimator calls
+// Predict once per predicate per objective evaluation.
+func TestPredictDoesNotAllocate(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector allocates")
+	}
+	for _, c := range []Chain{MustChain(2, 1), Paper(), MustChain(MaxStates, 5)} {
+		var sink Rates
+		allocs := testing.AllocsPerRun(100, func() { sink = c.Predict(0.3) })
+		if allocs != 0 {
+			t.Errorf("%d-state Predict allocates %v times per call", c.States(), allocs)
+		}
+		_ = sink
+	}
+}
+
+// TestProbPredictTakenMatchesStationary pins the shared solve: the taken
+// mass of the allocating Stationary equals ProbPredictTaken bit for bit.
+func TestProbPredictTakenMatchesStationary(t *testing.T) {
+	for _, v := range Variants() {
+		for _, p := range []float64{-1, 0, 0.01, 0.3, 0.5, 0.77, 0.999, 1, 2} {
+			pi := v.Chain.Stationary(p)
+			want := 0.0
+			for i := 0; i < v.Chain.TakenStates(); i++ {
+				want += pi[i]
+			}
+			if got := v.Chain.ProbPredictTaken(p); math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("%s p=%v: ProbPredictTaken %v, Stationary taken mass %v", v.Label, p, got, want)
+			}
+		}
 	}
 }
 

@@ -106,90 +106,3 @@ func Counters(par Params, sels []float64) (Estimate, error) {
 	est.Qualifying = n * prod
 	return est, nil
 }
-
-// CostParams convert counter estimates into cycles, mirroring the simulated
-// core's accounting closely enough to rank PEOs.
-type CostParams struct {
-	// IssueWidth spreads retired instructions over cycles.
-	IssueWidth int
-	// MPPenaltyCycles is the misprediction flush cost.
-	MPPenaltyCycles int
-	// LineStallCycles is the average stall charged per L3 line access
-	// (memory latency diluted by memory-level parallelism).
-	LineStallCycles float64
-	// InstrPerEval is the instruction cost of one predicate evaluation
-	// (load + compare + jump).
-	InstrPerEval float64
-	// InstrPerTuple is the loop overhead per tuple.
-	InstrPerTuple float64
-	// InstrPerOutput is the aggregation cost per qualifying tuple.
-	InstrPerOutput float64
-}
-
-// DefaultCostParams matches the simulated ScaledXeon core.
-func DefaultCostParams() CostParams {
-	return CostParams{
-		IssueWidth:      4,
-		MPPenaltyCycles: 15,
-		LineStallCycles: 45, // 180-cycle memory latency / MemParallelism 4
-		InstrPerEval:    3,
-		InstrPerTuple:   4,
-		InstrPerOutput:  5,
-	}
-}
-
-// Cycles converts an estimate into a cycle count for ranking PEOs.
-func Cycles(par Params, cost CostParams, sels []float64) (float64, error) {
-	est, err := Counters(par, sels)
-	if err != nil {
-		return 0, err
-	}
-	n := float64(par.N)
-	evals := 0.0
-	prod := 1.0
-	for _, sel := range sels {
-		evals += n * prod
-		s := sel
-		if s < 0 {
-			s = 0
-		}
-		if s > 1 {
-			s = 1
-		}
-		prod *= s
-	}
-	instr := evals*cost.InstrPerEval + n*cost.InstrPerTuple + est.Qualifying*cost.InstrPerOutput
-	cycles := instr/float64(cost.IssueWidth) +
-		est.MP()*float64(cost.MPPenaltyCycles) +
-		est.L3*cost.LineStallCycles
-	return cycles, nil
-}
-
-// BestOrder returns the permutation of predicate indexes that minimizes
-// Cycles for the given per-predicate selectivities (indexes refer to the
-// Params/sels order). For equal widths this is ascending selectivity, the
-// classical result the paper's reordering step applies.
-func BestOrder(par Params, cost CostParams, sels []float64) ([]int, error) {
-	if err := par.validate(sels); err != nil {
-		return nil, err
-	}
-	idx := make([]int, len(sels))
-	for i := range idx {
-		idx[i] = i
-	}
-	// Selection-cost exchange argument: sorting by ascending selectivity is
-	// optimal when per-predicate costs are equal; with unequal widths the
-	// standard rank is (sel-1)/cost, but widths only perturb the cache term,
-	// so we sort by ascending selectivity and break ties by width.
-	for i := 1; i < len(idx); i++ {
-		for j := i; j > 0; j-- {
-			a, b := idx[j-1], idx[j]
-			if sels[b] < sels[a] || (sels[b] == sels[a] && par.Widths[b] < par.Widths[a]) {
-				idx[j-1], idx[j] = idx[j], idx[j-1]
-			} else {
-				break
-			}
-		}
-	}
-	return idx, nil
-}
