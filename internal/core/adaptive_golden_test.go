@@ -110,8 +110,8 @@ func goldenResultOf(r exec.Result) goldenResult {
 	}
 }
 
-// goldenStatsOf flattens the progressive stats; micro, parallel and the
-// block-granular fields are zero where a driver does not report them.
+// goldenStatsOf flattens the stats; the block-granular and micro-adaptive
+// fields are zero where a driver does not report them.
 func goldenStatsOf(st core.Stats) goldenStats {
 	g := goldenStats{
 		Vectors:              st.Vectors,
@@ -123,6 +123,11 @@ func goldenStatsOf(st core.Stats) goldenStats {
 		EstimatorEvaluations: st.EstimatorEvaluations,
 		Explorations:         st.Explorations,
 		ConvergedAtCycles:    st.ConvergedAtCycles,
+		Workers:              st.Workers,
+		Blocks:               st.Blocks,
+		BranchingVectors:     st.BranchingVectors,
+		BranchFreeVectors:    st.BranchFreeVectors,
+		ImplSwitches:         st.ImplSwitches,
 	}
 	for _, s := range st.Samples {
 		g.Samples = append(g.Samples, goldenSample{
@@ -132,19 +137,6 @@ func goldenStatsOf(st core.Stats) goldenStats {
 			Sels:     floatBitsAll(s.Sels),
 		})
 	}
-	return g
-}
-
-func goldenMicroStatsOf(st core.MicroAdaptiveStats) goldenStats {
-	g := goldenStatsOf(st.Stats)
-	g.BranchingVectors, g.BranchFreeVectors, g.ImplSwitches = st.BranchingVectors, st.BranchFreeVectors, st.ImplSwitches
-	return g
-}
-
-func goldenParallelStatsOf(st core.ParallelMicroAdaptiveStats) goldenStats {
-	g := goldenStatsOf(st.Stats)
-	g.Workers, g.Blocks = st.Workers, st.Blocks
-	g.BranchingVectors, g.BranchFreeVectors, g.ImplSwitches = st.BranchingVectors, st.BranchFreeVectors, st.ImplSwitches
 	return g
 }
 
@@ -432,7 +424,7 @@ func runAdaptiveCase(t *testing.T, c adaptiveCase) []goldenRun {
 			if err != nil {
 				t.Fatal(err)
 			}
-			add("serial/"+mode, tr, r, goldenMicroStatsOf(st))
+			add("serial/"+mode, tr, r, goldenStatsOf(st))
 		} else {
 			r, st, err := core.RunProgressive(e, q, optWith(tr))
 			if err != nil {
@@ -455,13 +447,13 @@ func runAdaptiveCase(t *testing.T, c adaptiveCase) []goldenRun {
 			if err != nil {
 				t.Fatal(err)
 			}
-			add("parallel4/"+mode, tr, r, goldenParallelStatsOf(st))
+			add("parallel4/"+mode, tr, r, goldenStatsOf(st))
 		} else {
 			r, st, err := core.RunParallelProgressive(p, q, optWith(tr))
 			if err != nil {
 				t.Fatal(err)
 			}
-			add("parallel4/"+mode, tr, r, goldenParallelStatsOf(core.ParallelMicroAdaptiveStats{ParallelStats: st}))
+			add("parallel4/"+mode, tr, r, goldenStatsOf(st))
 		}
 
 		q = c.build(t, c.rows)
@@ -490,7 +482,7 @@ func runAdaptiveCase(t *testing.T, c adaptiveCase) []goldenRun {
 			if (label != "") != o.WarmStarted {
 				t.Fatalf("%s/served4/%s%s: warm start = %v", c.name, mode, label, o.WarmStarted)
 			}
-			add("served4/"+mode+label, tr, o.Result, goldenParallelStatsOf(o.Stats))
+			add("served4/"+mode+label, tr, o.Result, goldenStatsOf(o.Stats))
 		}
 	}
 	return runs

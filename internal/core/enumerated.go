@@ -21,7 +21,6 @@ func RunProgressiveEnumerated(e *exec.Engine, q *exec.Query, opt Options) (exec.
 	if err := q.Validate(); err != nil {
 		return exec.Result{}, Stats{}, err
 	}
-	opt.setDefaults()
 	c := e.CPU()
 
 	nOps := len(q.Ops)
@@ -78,7 +77,7 @@ func RunProgressiveEnumerated(e *exec.Engine, q *exec.Query, opt Options) (exec.
 
 		if pendingValidation && !opt.DisableValidation {
 			pendingValidation = false
-			limit := float64(prevVecCycles) * (1 + opt.ValidationTolerance)
+			limit := float64(prevVecCycles) * (1 + validationTolerance)
 			if float64(vecCycles) > limit && (hi-lo) == vs {
 				curPerm = append([]int(nil), prevPerm...)
 				var err error
@@ -86,10 +85,7 @@ func RunProgressiveEnumerated(e *exec.Engine, q *exec.Query, opt Options) (exec.
 				if err != nil {
 					return exec.Result{}, Stats{}, err
 				}
-				if !opt.DisablePredictorReset {
-					c.ResetPredictor()
-				}
-				c.Exec(opt.ReorderCostInstr)
+				recompileCore(c, !opt.DisablePredictorReset)
 				st.Reverts++
 			}
 		}
@@ -107,10 +103,7 @@ func RunProgressiveEnumerated(e *exec.Engine, q *exec.Query, opt Options) (exec.
 				if err != nil {
 					return exec.Result{}, Stats{}, err
 				}
-				if !opt.DisablePredictorReset {
-					c.ResetPredictor()
-				}
-				c.Exec(opt.ReorderCostInstr)
+				recompileCore(c, !opt.DisablePredictorReset)
 				st.Reorders++
 				pendingValidation = true
 			}

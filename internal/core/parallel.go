@@ -5,15 +5,6 @@ import (
 	"progopt/internal/hw/pmu"
 )
 
-// ParallelStats reports what the parallel progressive driver did.
-type ParallelStats struct {
-	Stats
-	// Workers is the number of simulated cores.
-	Workers int
-	// Blocks is the number of morsel blocks (optimization epochs) executed.
-	Blocks int
-}
-
 // RunParallelProgressive executes the query morsel-driven across the
 // parallel executor's cores with progressive re-optimization at block
 // granularity: each block spans ReopInterval vectors per core; at every
@@ -26,32 +17,49 @@ type ParallelStats struct {
 //
 // Estimation runs on core 0 while the other cores idle at the block barrier,
 // so its cycle cost extends the makespan; a reorder re-JITs the scan loop on
-// every core (predictor reset + recompile charge). The coordination logic
-// itself lives in BlockStepper, shared with the workload service's
-// scheduler.
+// every core (predictor reset + recompile charge). BlockStepper feeds the
+// blocks to the same decision policy the serial drivers use, so the §4.5
+// correlation probe (Options.ExploreEvery) runs here too.
 //
 // Query results (Qualifying, Sum) are bit-identical to a serial run and
 // deterministic across worker counts; because the morsel scheduler runs on
 // simulated clocks, cycle counts, counter samples, and optimizer decisions
 // are also fully reproducible run to run.
-func RunParallelProgressive(p *exec.Parallel, q *exec.Query, opt Options) (exec.Result, ParallelStats, error) {
-	r, st, err := runParallelAdaptive(p, q, opt, false)
-	return r, st.ParallelStats, err
+func RunParallelProgressive(p *exec.Parallel, q *exec.Query, opt Options) (exec.Result, Stats, error) {
+	return runParallelAdaptive(p, q, opt, false)
+}
+
+// RunParallelMicroAdaptive is RunParallelProgressive extended with per-block
+// implementation choice: at every block boundary the per-core PMU deltas are
+// merged, selectivities estimated from the aggregate, operators reordered,
+// and — when every operator is a plain predicate — the next block's scan
+// implementation (branching v. branch-free) is chosen from the estimates.
+// A chosen implementation applies to every core: the morsel scheduler keeps
+// all cores inside the same compiled scan loop, so an implementation switch
+// is a recompile on each core (predictor reset + recompile charge), exactly
+// like a reorder.
+//
+// While running branch-free the merged counters carry no per-predicate
+// branch signal, so the driver returns to the branching scan for one
+// sampling block every few optimization points (the serial driver's
+// resampling policy at block granularity).
+//
+// Query results are bit-identical to the serial micro-adaptive driver and
+// deterministic across worker counts; cycle counts are makespans.
+func RunParallelMicroAdaptive(p *exec.Parallel, q *exec.Query, opt Options) (exec.Result, Stats, error) {
+	return runParallelAdaptive(p, q, opt, true)
 }
 
 // runParallelAdaptive is the shared block loop of the parallel progressive
 // and micro-adaptive drivers: run one block over the whole pool, then let the
 // stepper validate, estimate, reorder, and (micro) choose the scan
 // implementation.
-func runParallelAdaptive(p *exec.Parallel, q *exec.Query, opt Options, micro bool) (exec.Result, ParallelMicroAdaptiveStats, error) {
-	if err := q.Validate(); err != nil {
-		return exec.Result{}, ParallelMicroAdaptiveStats{}, err
-	}
+func runParallelAdaptive(p *exec.Parallel, q *exec.Query, opt Options, micro bool) (exec.Result, Stats, error) {
 	engines := p.Engines()
 	w0 := engines[0].CPU()
 	s, err := NewBlockStepper(q, w0.Profile(), p.Workers(), micro, opt)
 	if err != nil {
-		return exec.Result{}, ParallelMicroAdaptiveStats{}, err
+		return exec.Result{}, Stats{}, err
 	}
 
 	startSamples := make([]pmu.Sample, len(engines))
@@ -83,7 +91,7 @@ func runParallelAdaptive(p *exec.Parallel, q *exec.Query, opt Options, micro boo
 		// to a serial per-vector run for every worker count and interval.
 		br, err := p.RunBlockImplSum(s.Query(), v0, v1, s.Impl(), &out.Sum)
 		if err != nil {
-			return exec.Result{}, ParallelMicroAdaptiveStats{}, err
+			return exec.Result{}, Stats{}, err
 		}
 		out.Qualifying += br.Qualifying
 		out.Vectors += br.Vectors
@@ -94,7 +102,7 @@ func runParallelAdaptive(p *exec.Parallel, q *exec.Query, opt Options, micro boo
 		}
 		extra, err := s.AfterBlock(br, tuples, v1 == numVec, w0, engines)
 		if err != nil {
-			return exec.Result{}, ParallelMicroAdaptiveStats{}, err
+			return exec.Result{}, Stats{}, err
 		}
 		totalCycles += extra
 	}
@@ -107,7 +115,5 @@ func runParallelAdaptive(p *exec.Parallel, q *exec.Query, opt Options, micro boo
 		merged = merged.Add(e.CPU().Sample().Sub(startSamples[i]))
 	}
 	out.Counters = merged
-	st := s.Stats()
-	st.Vectors = out.Vectors
-	return out, st, nil
+	return out, s.Stats(), nil
 }

@@ -6,326 +6,133 @@ import (
 	"progopt/internal/trace"
 )
 
-// BlockStepper holds the between-block coordination state of block-granular
-// progressive (and micro-adaptive) execution: the current operator
-// permutation, the pending validation against the previous block's
-// per-vector cost, the selectivity estimation over merged per-core PMU
-// deltas, and — in micro mode — the branching/branch-free implementation
-// choice. It is the shared brain of RunParallelProgressive,
-// RunParallelMicroAdaptive, and the workload service's scheduler, which
-// drives the same coordination while the query runs on a *dynamic* subset of
-// cores: the stepper never talks to the morsel scheduler, it only consumes
-// finished BlockResults and tells the caller which query order and scan
-// implementation the next block must run.
+// BlockStepper feeds the adaptive policy at morsel-block granularity: every
+// finished block is one policy window, its cost the block makespan per
+// vector, and every block but the query's last an optimization point. It is
+// the shared coordinator of RunParallelProgressive, RunParallelMicroAdaptive,
+// and the workload service's scheduler, which drives the same coordination
+// while the query runs on a *dynamic* subset of cores: the stepper never
+// talks to the morsel scheduler, it only consumes finished BlockResults and
+// tells the caller which query order and scan implementation the next block
+// must run.
 type BlockStepper struct {
-	base *exec.Query
-	opt  Options
-
-	micro    bool
-	eligible bool
-	costP    ImplCostParams
-
-	curPerm, prevPerm []int
-	curQ              *exec.Query
-	// curWidths caches opWidths(curQ), refreshed only when the order changes
-	// — the estimator consumes it once per block.
-	curWidths []int
-	aggWidths []int
-
-	impl        exec.ScanImpl
-	bfOptPoints int
-
-	prevCostPerVec    float64
-	pendingValidation bool
-	// stableBlocks counts consecutive optimization epochs that confirmed the
-	// current order (drives the §4.5 correlation probe at block granularity;
-	// progressive mode only — the serial micro-adaptive driver has no probe
-	// either, keeping worker counts decision-identical).
-	stableBlocks int
-	// rejected remembers the last order validation reverted, so neither the
-	// estimator nor the probe proposes the measured regression again.
-	rejected []int
-
-	// est is the query's estimation workspace. A stepper belongs to one
-	// query, so served segments never share it.
-	est Estimator
+	p policy
 
 	// accounted is the simulated cycle cost attributed to the query so far
-	// (block makespans plus coordination), the clock ConvergedAtCycles is
-	// stamped from.
+	// (block makespans plus coordination): the policy's clock.
 	accounted uint64
-
-	st ParallelMicroAdaptiveStats
+	// extra is the coordination cost of the block being coordinated, on
+	// coord (estimation) and engines (recompiles).
+	extra   uint64
+	coord   *cpu.CPU
+	engines []*exec.Engine
 }
 
-// bfResampleEvery spaces the branching sampling blocks while running
-// branch-free (the serial micro-adaptive driver's resampling policy at block
-// granularity).
-const bfResampleEvery = 3
-
 // NewBlockStepper builds the coordination state for one query. prof supplies
-// the cache geometry the estimator defaults to; workers is reported in the
-// stats (the pool size the run is scheduled on). micro enables per-block
+// the cache geometry the estimator models; workers is reported in the stats
+// (the pool size the run is scheduled on). micro enables per-block
 // implementation choice.
 func NewBlockStepper(q *exec.Query, prof cpu.Profile, workers int, micro bool, opt Options) (*BlockStepper, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}
-	opt.setDefaults()
-	if opt.Geometry.LineSize == 0 {
-		hier := prof.Hierarchy
-		opt.Geometry.LineSize = hier.L3.LineSize
-		opt.Geometry.CapacityLines = hier.L3.Lines()
-	}
-	costP := DefaultImplCostParams()
-	costP.Chain = opt.Chain
-	nOps := len(q.Ops)
-	s := &BlockStepper{
-		base:      q,
-		opt:       opt,
-		micro:     micro,
-		eligible:  micro && exec.BranchFreeEligible(q),
-		costP:     costP,
-		curPerm:   identity(nOps),
-		prevPerm:  identity(nOps),
-		curQ:      q,
-		curWidths: opWidths(q),
-
-		aggWidths:      aggColumnWidths(q),
-		impl:           exec.ImplBranching,
-		prevCostPerVec: -1.0,
-	}
-	s.st.Workers = workers
+	s := &BlockStepper{p: newPolicy(q, prof, micro, opt)}
+	s.p.st.Workers = workers
 	return s, nil
 }
 
 // Query returns the query in its current operator order; the next block must
 // execute it.
-func (s *BlockStepper) Query() *exec.Query { return s.curQ }
+func (s *BlockStepper) Query() *exec.Query { return s.p.curQ }
 
 // Impl returns the scan implementation the next block must run
 // (ImplBranching unless a micro stepper chose predication).
-func (s *BlockStepper) Impl() exec.ScanImpl { return s.impl }
+func (s *BlockStepper) Impl() exec.ScanImpl { return s.p.impl }
 
 // SetImpl overrides the initial scan implementation (feedback-cache warm
 // start). Only meaningful before the first block of a micro stepper.
 func (s *BlockStepper) SetImpl(impl exec.ScanImpl) {
-	if s.micro && s.eligible {
-		s.impl = impl
+	if s.p.eligible {
+		s.p.impl = impl
 	}
 }
 
 // BlockVectors returns how many vectors the next optimization block spans on
 // k cores (ReopInterval per core), or 0 when re-optimization is disabled.
 func (s *BlockStepper) BlockVectors(k int) int {
-	if s.opt.ReopInterval <= 0 {
-		return 0
-	}
-	return s.opt.ReopInterval * k
+	return max(s.p.opt.ReopInterval, 0) * k
 }
 
-// AfterBlock runs the coordination that follows one finished morsel block:
-// validate the previous reorder against the block's per-vector cost (revert
-// on regression), and — unless the block was the query's last — sample the
-// merged counters, estimate selectivities, reorder by ascending estimate,
-// and in micro mode choose the next block's scan implementation. tuples is
-// the number of driving-table tuples the block covered. coord is the core
-// the estimation runs on (the others idle at the block barrier); engines are
-// the cores currently executing the query, each of which pays the recompile
-// of a reorder or implementation switch. The returned cycles are the
-// makespan extension of the coordination; the caller adds them to the
-// query's clock.
+// AfterBlock runs the policy over one finished morsel block: validate the
+// previous reorder against the block's per-vector cost (revert on
+// regression), and — unless the block was the query's last — sample the
+// merged counters, estimate selectivities, reorder, and in micro mode choose
+// the next block's scan implementation. tuples is the number of
+// driving-table tuples the block covered. coord is the core the estimation
+// runs on (the others idle at the block barrier); engines are the cores
+// currently executing the query, each of which pays the recompile of a plan
+// change. The returned cycles are the makespan extension of the
+// coordination; the caller adds them to the query's clock.
 func (s *BlockStepper) AfterBlock(br exec.BlockResult, tuples int, last bool, coord *cpu.CPU, engines []*exec.Engine) (uint64, error) {
-	s.st.Blocks++
-	if s.micro {
-		if s.impl == exec.ImplBranchFree {
-			s.st.BranchFreeVectors += br.Vectors
-		} else {
-			s.st.BranchingVectors += br.Vectors
-		}
-	}
+	s.p.st.Blocks++
 	s.accounted += br.MaxCycles
-	changed := false
-	var extra uint64
-	costPerVec := float64(br.MaxCycles) / float64(br.Vectors)
-
-	if s.pendingValidation && !s.opt.DisableValidation {
-		s.pendingValidation = false
-		if s.prevCostPerVec > 0 && costPerVec > s.prevCostPerVec*(1+s.opt.ValidationTolerance) {
-			// Deteriorated: re-establish the previous order on every core and
-			// remember the rejected one so it is not proposed again.
-			s.rejected = append([]int(nil), s.curPerm...)
-			s.curPerm = append([]int(nil), s.prevPerm...)
-			var err error
-			s.curQ, err = s.base.WithOrder(s.curPerm)
-			if err != nil {
-				return 0, err
-			}
-			s.curWidths = opWidths(s.curQ)
-			extra += recompileEngines(engines, s.opt)
-			s.st.Reverts++
-			changed = true
-			traceDecision(s.opt.Trace, "revert", s.accounted+extra, br.Counters,
-				trace.A("to", s.curPerm),
-				trace.A("cost_per_vec", costPerVec),
-				trace.A("prev_cost_per_vec", s.prevCostPerVec))
-		}
+	s.extra, s.coord, s.engines = 0, coord, engines
+	// A block follows the last optimization point, so a pending validation
+	// always has a previous cost to compare against.
+	changed, err := s.p.step(s, window{
+		vectors:    br.Vectors,
+		tuples:     tuples,
+		counters:   br.Counters,
+		cost:       float64(br.MaxCycles) / float64(br.Vectors),
+		comparable: true,
+		optimize:   s.p.opt.ReopInterval > 0 && !last,
+	})
+	s.coord, s.engines = nil, nil
+	if err != nil {
+		return 0, err
 	}
-
-	runOpt := s.opt.ReopInterval > 0 && !last
-	if runOpt && !s.micro && s.opt.ExploreEvery > 0 && s.stableBlocks >= s.opt.ExploreEvery {
-		// §4.5 correlation probe at block granularity: the estimator has
-		// confirmed the same order ExploreEvery epochs in a row; run the next
-		// block under a rotation of the current order and let validation
-		// decide. A rotation validation already rejected is skipped and the
-		// epoch falls through to plain estimation.
-		if probe := rotate(s.curPerm); !equalPerm(probe, s.rejected) {
-			s.stableBlocks = 0
-			s.st.Explorations++
-			s.prevPerm = append([]int(nil), s.curPerm...)
-			s.curPerm = probe
-			var err error
-			s.curQ, err = s.base.WithOrder(s.curPerm)
-			if err != nil {
-				return 0, err
-			}
-			s.curWidths = opWidths(s.curQ)
-			extra += recompileEngines(engines, s.opt)
-			s.pendingValidation = true
-			changed = true
-			traceDecision(s.opt.Trace, "explore", s.accounted+extra, br.Counters,
-				trace.A("from", s.prevPerm), trace.A("to", s.curPerm))
-			s.prevCostPerVec = costPerVec
-			s.accounted += extra
-			s.st.ConvergedAtCycles = s.accounted
-			return extra, nil
-		}
-	}
-	if runOpt && s.impl == exec.ImplBranching {
-		// Estimation epoch on the coordinator core.
-		c0 := coord.Cycles()
-		coord.Exec(s.opt.SampleCostInstr)
-		sample := SampleFromPMU(br.Counters, tuples)
-		cfg := EstimatorConfig{
-			Widths:    s.curWidths,
-			AggWidths: s.aggWidths,
-			Geometry:  s.opt.Geometry,
-			Chain:     s.opt.Chain,
-			MaxStarts: s.opt.MaxStartsOverride,
-		}
-		est, err := s.est.Estimate(sample, cfg)
-		if err != nil {
-			return 0, err
-		}
-		s.st.Optimizations++
-		s.st.EstimatorEvaluations += est.NMEvaluations
-		s.st.LastEstimate = est.Sels
-		coord.Exec(est.NMEvaluations * s.opt.NMEvalCostInstr)
-		extra += coord.Cycles() - c0
-		smp := Sample{
-			Cycles:   s.accounted + extra,
-			Tuples:   tuples,
-			Counters: br.Counters.Project(paperGroup),
-			Sels:     est.Sels,
-		}
-		s.st.addSample(smp)
-		traceSample(s.opt.Trace, s.accounted+extra, smp)
-
-		order := RankOrder(LoadWeights(s.curQ), est.Sels)
-		newPerm := compose(s.curPerm, order)
-		if !equalPerm(newPerm, s.curPerm) && !equalPerm(newPerm, s.rejected) {
-			s.stableBlocks = 0
-			s.prevPerm = append([]int(nil), s.curPerm...)
-			s.curPerm = newPerm
-			s.curQ, err = s.base.WithOrder(s.curPerm)
-			if err != nil {
-				return 0, err
-			}
-			s.curWidths = opWidths(s.curQ)
-			extra += recompileEngines(engines, s.opt)
-			s.st.Reorders++
-			s.pendingValidation = true
-			changed = true
-			traceDecision(s.opt.Trace, "reorder", s.accounted+extra, smp.Counters,
-				trace.A("from", s.prevPerm), trace.A("to", s.curPerm),
-				trace.A("est_sels", est.Sels))
-		} else {
-			s.stableBlocks++
-		}
-		if s.eligible {
-			ordered := make([]float64, len(est.Sels))
-			for i, o := range order {
-				ordered[i] = est.Sels[o]
-			}
-			next := ChooseImpl(ordered, s.costP)
-			if next != s.impl {
-				s.st.ImplSwitches++
-				s.impl = next
-				extra += recompileEngines(engines, s.opt)
-				changed = true
-				traceDecision(s.opt.Trace, "impl-switch", s.accounted+extra, smp.Counters,
-					trace.A("impl", implName(s.impl)),
-					trace.A("est_sels", ordered))
-			}
-		}
-	} else if runOpt && s.impl == exec.ImplBranchFree {
-		// Branch-free blocks carry no per-predicate branch signal; return to
-		// the branching scan for one sampling block every few points.
-		s.bfOptPoints++
-		if s.bfOptPoints >= bfResampleEvery {
-			s.bfOptPoints = 0
-			s.st.ImplSwitches++
-			s.impl = exec.ImplBranching
-			extra += recompileEngines(engines, s.opt)
-			traceDecision(s.opt.Trace, "impl-switch", s.accounted+extra, br.Counters,
-				trace.A("impl", implName(s.impl)),
-				trace.A("resample", true))
-		}
-	}
-	s.prevCostPerVec = costPerVec
-	s.accounted += extra
+	s.accounted += s.extra
 	if changed {
-		s.st.ConvergedAtCycles = s.accounted
+		// The block's coordination is one barrier: its plan changes take
+		// effect together, when it ends.
+		s.p.st.ConvergedAtCycles = s.accounted
 	}
-	return extra, nil
+	return s.extra, nil
+}
+
+func (s *BlockStepper) clock() (rel, ts uint64) {
+	now := s.accounted + s.extra
+	return now, now
+}
+
+func (s *BlockStepper) charge(instr int) {
+	c0 := s.coord.Cycles()
+	s.coord.Exec(instr)
+	s.extra += s.coord.Cycles() - c0
+}
+
+// recompile charges every core running the query and extends the makespan
+// by the largest per-core cycle delta.
+func (s *BlockStepper) recompile(resetPredictor bool) {
+	var most uint64
+	for _, e := range s.engines {
+		c := e.CPU()
+		c0 := c.Cycles()
+		recompileCore(c, resetPredictor)
+		most = max(most, c.Cycles()-c0)
+	}
+	s.extra += most
+}
+
+func (s *BlockStepper) revertArgs(cost, prevCost, _ float64) []trace.Arg {
+	return []trace.Arg{trace.A("cost_per_vec", cost), trace.A("prev_cost_per_vec", prevCost)}
 }
 
 // TraceFinal emits the plan-final event on the stepper's decision track (if
 // any), stamped with the accounted query clock. Callers invoke it once, when
 // the query's last block has been coordinated.
-func (s *BlockStepper) TraceFinal() {
-	if s.opt.Trace == nil {
-		return
-	}
-	s.opt.Trace.Instant("plan-final", s.accounted,
-		trace.A("order", s.curPerm), trace.A("reorders", s.st.Reorders),
-		trace.A("impl", implName(s.impl)),
-		trace.A("converged_at", s.st.ConvergedAtCycles))
-}
+func (s *BlockStepper) TraceFinal() { s.p.traceFinal(s.accounted, true) }
 
 // Stats snapshots the coordination telemetry; FinalOrder is the permutation
 // currently in effect (relative to the stepper's base query).
-func (s *BlockStepper) Stats() ParallelMicroAdaptiveStats {
-	st := s.st
-	st.FinalOrder = append([]int(nil), s.curPerm...)
-	return st
-}
-
-// recompileEngines re-JITs the scan loop on every given core (new branch
-// addresses, re-chained primitives) and returns the resulting makespan
-// extension: the largest per-core cycle delta of the recompile.
-func recompileEngines(engines []*exec.Engine, opt Options) uint64 {
-	var max uint64
-	for _, e := range engines {
-		c := e.CPU()
-		c0 := c.Cycles()
-		if !opt.DisablePredictorReset {
-			c.ResetPredictor()
-		}
-		c.Exec(opt.ReorderCostInstr)
-		if d := c.Cycles() - c0; d > max {
-			max = d
-		}
-	}
-	return max
-}
+func (s *BlockStepper) Stats() Stats { return s.p.stats() }

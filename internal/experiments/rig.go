@@ -118,8 +118,7 @@ func (r *rig) measureProgressiveOpts(q *exec.Query, perm []int, opts core.Option
 	r.cold()
 	opts.Trace = r.opt
 	if r.par != nil {
-		res, pst, err := core.RunParallelProgressive(r.par, qo, opts)
-		return res, pst.Stats, err
+		return core.RunParallelProgressive(r.par, qo, opts)
 	}
 	return core.RunProgressive(r.eng, qo, opts)
 }

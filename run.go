@@ -285,7 +285,7 @@ func (e *Engine) execProgressive(q *Query, p Progressive) (ExecResult, error) {
 		if err != nil {
 			return ExecResult{}, err
 		}
-		return ExecResult{Result: toResult(r), Stats: toStats(st.Stats)}, nil
+		return ExecResult{Result: toResult(r), Stats: toStats(st)}, nil
 	}
 	r, st, err := core.RunProgressive(e.eng, q.q, opts)
 	if err != nil {
@@ -305,7 +305,7 @@ func (e *Engine) execMicroAdaptive(q *Query, p Progressive) (ExecResult, error) 
 		}
 		return ExecResult{
 			Result: toResult(r),
-			Stats:  toStats(st.Stats),
+			Stats:  toStats(st),
 			Impl: ImplStats{
 				BranchingVectors:  st.BranchingVectors,
 				BranchFreeVectors: st.BranchFreeVectors,
@@ -319,7 +319,7 @@ func (e *Engine) execMicroAdaptive(q *Query, p Progressive) (ExecResult, error) 
 	}
 	return ExecResult{
 		Result: toResult(r),
-		Stats:  toStats(st.Stats),
+		Stats:  toStats(st),
 		Impl: ImplStats{
 			BranchingVectors:  st.BranchingVectors,
 			BranchFreeVectors: st.BranchFreeVectors,

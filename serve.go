@@ -367,7 +367,7 @@ func (t *Ticket) Wait() (ExecResult, error) {
 	if o.Sorted != nil {
 		out.Rows = toOrderedRows(o.Sorted)
 	}
-	out.Stats = toStats(o.Stats.ParallelStats.Stats)
+	out.Stats = toStats(o.Stats)
 	out.Impl = ImplStats{
 		BranchingVectors:  o.Stats.BranchingVectors,
 		BranchFreeVectors: o.Stats.BranchFreeVectors,
