@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 
 	"progopt/internal/columnar"
 	"progopt/internal/core"
@@ -49,11 +50,8 @@ func ExtEnum(cfg Config) ([]*Report, error) {
 	for i, op := range q.Ops {
 		sels[i] = op.(*exec.Predicate).TrueSelectivity()
 	}
-	asc := core.AscendingOrder(sels)
-	desc := make([]int, len(asc))
-	for i, v := range asc {
-		desc[len(asc)-1-i] = v
-	}
+	desc := core.AscendingOrder(sels)
+	slices.Reverse(desc)
 
 	rep := &Report{
 		ID:      "ext-enum",

@@ -30,7 +30,8 @@ import (
 // the converged order's fixed-cost run is never worse than greedy's.
 func ExtJoins(cfg Config) ([]*Report, error) {
 	cfg = cfg.withDefaults()
-	rows := cfg.Lineitems
+	// Scaled by the core count: a parallel run gets as many epochs as a serial one.
+	rows := cfg.Lineitems * max(cfg.Workers, 1)
 	d, err := tpch.Generate(tpch.Config{Lineitems: rows, Seed: cfg.Seed})
 	if err != nil {
 		return nil, err

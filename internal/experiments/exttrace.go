@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"progopt/internal/core"
@@ -25,9 +26,10 @@ func ExtTrace(cfg Config) ([]*Report, error) {
 	if cfg.Trace == nil {
 		cfg.Trace = trace.New()
 	}
-	rows := 150 * cfg.VectorSize
+	// Scaled by the core count: a parallel run gets as many epochs as a serial one.
+	rows := 150 * cfg.VectorSize * max(cfg.Workers, 1)
 	if cfg.Quick {
-		rows = 30 * cfg.VectorSize
+		rows = 30 * cfg.VectorSize * max(cfg.Workers, 1)
 	}
 	d, err := tpch.Generate(tpch.Config{Lineitems: rows, Seed: cfg.Seed})
 	if err != nil {
@@ -45,11 +47,8 @@ func ExtTrace(cfg Config) ([]*Report, error) {
 	for i, op := range q.Ops {
 		sels[i] = op.(*exec.Predicate).TrueSelectivity()
 	}
-	asc := core.AscendingOrder(sels)
-	desc := make([]int, len(asc))
-	for i, v := range asc {
-		desc[len(asc)-1-i] = v
-	}
+	desc := core.AscendingOrder(sels)
+	slices.Reverse(desc)
 	const reop = 10
 
 	r, err := newRig(cpu.ScaledXeon(), cfg)
