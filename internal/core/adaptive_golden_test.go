@@ -408,9 +408,9 @@ func runAdaptiveCase(t *testing.T, c adaptiveCase) []goldenRun {
 	newTrack := func() *trace.Track { return trace.New().NewTrack("optimizer") }
 
 	for _, micro := range []bool{false, true} {
-		mode := "progressive"
+		mode, runSerial, runParallel := "progressive", core.RunProgressive, core.RunParallelProgressive
 		if micro {
-			mode = "micro"
+			mode, runSerial, runParallel = "micro", core.RunMicroAdaptive, core.RunParallelMicroAdaptive
 		}
 
 		q := c.build(t, c.rows)
@@ -419,19 +419,11 @@ func runAdaptiveCase(t *testing.T, c adaptiveCase) []goldenRun {
 			t.Fatal(err)
 		}
 		tr := newTrack()
-		if micro {
-			r, st, err := core.RunMicroAdaptive(e, q, optWith(tr))
-			if err != nil {
-				t.Fatal(err)
-			}
-			add("serial/"+mode, tr, r, goldenStatsOf(st))
-		} else {
-			r, st, err := core.RunProgressive(e, q, optWith(tr))
-			if err != nil {
-				t.Fatal(err)
-			}
-			add("serial/"+mode, tr, r, goldenStatsOf(st))
+		r, st, err := runSerial(e, q, optWith(tr))
+		if err != nil {
+			t.Fatal(err)
 		}
+		add("serial/"+mode, tr, r, goldenStatsOf(st))
 
 		q = c.build(t, c.rows)
 		p, err := exec.NewParallel(prof, goldenWorkers, goldenVectorSize)
@@ -442,19 +434,11 @@ func runAdaptiveCase(t *testing.T, c adaptiveCase) []goldenRun {
 			t.Fatal(err)
 		}
 		tr = newTrack()
-		if micro {
-			r, st, err := core.RunParallelMicroAdaptive(p, q, optWith(tr))
-			if err != nil {
-				t.Fatal(err)
-			}
-			add("parallel4/"+mode, tr, r, goldenStatsOf(st))
-		} else {
-			r, st, err := core.RunParallelProgressive(p, q, optWith(tr))
-			if err != nil {
-				t.Fatal(err)
-			}
-			add("parallel4/"+mode, tr, r, goldenStatsOf(st))
+		r, st, err = runParallel(p, q, optWith(tr))
+		if err != nil {
+			t.Fatal(err)
 		}
+		add("parallel4/"+mode, tr, r, goldenStatsOf(st))
 
 		q = c.build(t, c.rows)
 		s, err := service.New(prof, goldenWorkers, goldenVectorSize, false, service.Config{})

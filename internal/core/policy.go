@@ -170,6 +170,7 @@ type policy struct {
 
 func newPolicy(q *exec.Query, prof cpu.Profile, micro bool, opt Options) policy {
 	l3 := prof.Hierarchy.L3
+	perm := identity(len(q.Ops))
 	return policy{
 		base:      q,
 		opt:       opt,
@@ -177,8 +178,8 @@ func newPolicy(q *exec.Query, prof cpu.Profile, micro bool, opt Options) policy 
 		eligible:  micro && exec.BranchFreeEligible(q),
 		geom:      cachemodel.Geometry{LineSize: l3.LineSize, CapacityLines: l3.Lines()},
 		costP:     DefaultImplCostParams(),
-		curPerm:   identity(len(q.Ops)),
-		prevPerm:  identity(len(q.Ops)),
+		curPerm:   perm,
+		prevPerm:  perm,
 		curQ:      q,
 		widths:    opWidths(q),
 		aggWidths: aggColumnWidths(q),
@@ -208,8 +209,10 @@ func (p *policy) step(f feeder, w window) (bool, error) {
 			}
 			p.st.Reverts++
 			p.markChanged(f)
-			p.decide(f, "revert", w.counters, append([]trace.Arg{trace.A("to", p.curPerm)},
-				f.revertArgs(w.cost, p.prevCost, limit)...)...)
+			if p.opt.Trace != nil {
+				p.decide(f, "revert", w.counters, append([]trace.Arg{trace.A("to", p.curPerm)},
+					f.revertArgs(w.cost, p.prevCost, limit)...)...)
+			}
 		}
 	}
 
@@ -354,8 +357,8 @@ func (p *policy) decide(f feeder, name string, evidence pmu.Sample, args ...trac
 }
 
 // traceFinal emits the plan-final event at ts. withImpl adds the scan
-// implementation (the serial progressive driver's event predates
-// implementation choice and omits it).
+// implementation, which every driver but the serial progressive one
+// reports.
 func (p *policy) traceFinal(ts uint64, withImpl bool) {
 	if p.opt.Trace == nil {
 		return
@@ -367,10 +370,12 @@ func (p *policy) traceFinal(ts uint64, withImpl bool) {
 	p.opt.Trace.Instant("plan-final", ts, append(args, trace.A("converged_at", p.st.ConvergedAtCycles))...)
 }
 
-// stats snapshots the telemetry with the order currently in effect.
+// stats returns the telemetry with the order currently in effect. The
+// policy never mutates an order in place, so FinalOrder may share storage
+// with it.
 func (p *policy) stats() Stats {
 	st := p.st
-	st.FinalOrder = append([]int(nil), p.curPerm...)
+	st.FinalOrder = p.curPerm
 	return st
 }
 

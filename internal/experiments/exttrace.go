@@ -26,11 +26,12 @@ func ExtTrace(cfg Config) ([]*Report, error) {
 	if cfg.Trace == nil {
 		cfg.Trace = trace.New()
 	}
-	// Scaled by the core count: a parallel run gets as many epochs as a serial one.
-	rows := 150 * cfg.VectorSize * max(cfg.Workers, 1)
+	vectors := 150
 	if cfg.Quick {
-		rows = 30 * cfg.VectorSize * max(cfg.Workers, 1)
+		vectors = 30
 	}
+	// Scaled by the core count: a parallel run gets as many epochs as a serial one.
+	rows := vectors * cfg.VectorSize * max(cfg.Workers, 1)
 	d, err := tpch.Generate(tpch.Config{Lineitems: rows, Seed: cfg.Seed})
 	if err != nil {
 		return nil, err

@@ -168,10 +168,8 @@ func (e *Engine) Exec(q *Query, opts ExecOptions) (ExecResult, error) {
 // execScan runs an unordered plan in the requested mode.
 func (e *Engine) execScan(q *Query, opts ExecOptions) (ExecResult, error) {
 	switch opts.Mode {
-	case ModeProgressive:
-		return e.execProgressive(q, opts.Progressive)
-	case ModeMicroAdaptive:
-		return e.execMicroAdaptive(q, opts.Progressive)
+	case ModeProgressive, ModeMicroAdaptive:
+		return e.execAdaptive(q, opts.Progressive, opts.Mode == ModeMicroAdaptive)
 	default:
 		return e.execFixed(q)
 	}
@@ -276,56 +274,29 @@ func (e *Engine) optTrack() *trace.Track {
 	return e.tr.opt
 }
 
-func (e *Engine) execProgressive(q *Query, p Progressive) (ExecResult, error) {
+// execAdaptive runs the progressive (micro=false) or micro-adaptive driver
+// matching the engine's worker count.
+func (e *Engine) execAdaptive(q *Query, p Progressive, micro bool) (ExecResult, error) {
 	opts := p.coreOptions()
 	opts.Trace = e.optTrack()
 	e.cold()
-	if e.par != nil {
-		r, st, err := core.RunParallelProgressive(e.par, q.q, opts)
-		if err != nil {
-			return ExecResult{}, err
-		}
-		return ExecResult{Result: toResult(r), Stats: toStats(st)}, nil
+	var r exec.Result
+	var st core.Stats
+	var err error
+	switch {
+	case e.par != nil && micro:
+		r, st, err = core.RunParallelMicroAdaptive(e.par, q.q, opts)
+	case e.par != nil:
+		r, st, err = core.RunParallelProgressive(e.par, q.q, opts)
+	case micro:
+		r, st, err = core.RunMicroAdaptive(e.eng, q.q, opts)
+	default:
+		r, st, err = core.RunProgressive(e.eng, q.q, opts)
 	}
-	r, st, err := core.RunProgressive(e.eng, q.q, opts)
 	if err != nil {
 		return ExecResult{}, err
 	}
-	return ExecResult{Result: toResult(r), Stats: toStats(st)}, nil
-}
-
-func (e *Engine) execMicroAdaptive(q *Query, p Progressive) (ExecResult, error) {
-	opts := p.coreOptions()
-	opts.Trace = e.optTrack()
-	e.cold()
-	if e.par != nil {
-		r, st, err := core.RunParallelMicroAdaptive(e.par, q.q, opts)
-		if err != nil {
-			return ExecResult{}, err
-		}
-		return ExecResult{
-			Result: toResult(r),
-			Stats:  toStats(st),
-			Impl: ImplStats{
-				BranchingVectors:  st.BranchingVectors,
-				BranchFreeVectors: st.BranchFreeVectors,
-				ImplSwitches:      st.ImplSwitches,
-			},
-		}, nil
-	}
-	r, st, err := core.RunMicroAdaptive(e.eng, q.q, opts)
-	if err != nil {
-		return ExecResult{}, err
-	}
-	return ExecResult{
-		Result: toResult(r),
-		Stats:  toStats(st),
-		Impl: ImplStats{
-			BranchingVectors:  st.BranchingVectors,
-			BranchFreeVectors: st.BranchFreeVectors,
-			ImplSwitches:      st.ImplSwitches,
-		},
-	}, nil
+	return ExecResult{Result: toResult(r), Stats: toStats(st), Impl: toImplStats(st)}, nil
 }
 
 func (e *Engine) execGrouped(q *Query) (ExecResult, error) {
@@ -370,6 +341,16 @@ func toStats(st core.Stats) Stats {
 		LastEstimate:      st.LastEstimate,
 		ConvergedAtCycles: st.ConvergedAtCycles,
 		Samples:           toSamples(st.Samples),
+	}
+}
+
+// toImplStats maps the driver's implementation telemetry (zero outside
+// micro-adaptive runs) to the public type.
+func toImplStats(st core.Stats) ImplStats {
+	return ImplStats{
+		BranchingVectors:  st.BranchingVectors,
+		BranchFreeVectors: st.BranchFreeVectors,
+		ImplSwitches:      st.ImplSwitches,
 	}
 }
 

@@ -368,11 +368,7 @@ func (t *Ticket) Wait() (ExecResult, error) {
 		out.Rows = toOrderedRows(o.Sorted)
 	}
 	out.Stats = toStats(o.Stats)
-	out.Impl = ImplStats{
-		BranchingVectors:  o.Stats.BranchingVectors,
-		BranchFreeVectors: o.Stats.BranchFreeVectors,
-		ImplSwitches:      o.Stats.ImplSwitches,
-	}
+	out.Impl = toImplStats(o.Stats)
 	if t.stviews != nil {
 		// Same out-of-band accounting as Engine.Exec: the tier observes, its
 		// stall debt extends the query's reported execution span (not the
