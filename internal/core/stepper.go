@@ -87,7 +87,6 @@ func (s *BlockStepper) AfterBlock(br exec.BlockResult, tuples int, last bool, co
 		comparable: true,
 		optimize:   s.p.opt.ReopInterval > 0 && !last,
 	})
-	s.coord, s.engines = nil, nil
 	if err != nil {
 		return 0, err
 	}
