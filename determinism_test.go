@@ -3,7 +3,6 @@ package progopt
 import (
 	"fmt"
 	"runtime"
-	"strings"
 	"testing"
 )
 
@@ -125,35 +124,6 @@ func TestDeterminismMatrixServed(t *testing.T) {
 					sameStats(t, name, ref.Stats, got.Stats)
 				})
 			}
-		}
-	}
-}
-
-// TestRunMicroAdaptiveMultiCoreError pins the refusal contract of the
-// deprecated single-core entry point: the error must say why (per-vector
-// cycle stats are not multi-core makespans) and name the supported route
-// (ModeMicroAdaptive through Engine.Exec).
-func TestRunMicroAdaptiveMultiCoreError(t *testing.T) {
-	e, err := New(Config{VectorSize: 1024, Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-	d, err := e.GenerateTPCH(4096, 3, OrderNatural)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q, err := e.BuildScan(d, []Predicate{{Column: "l_quantity", Op: CmpLE, Int: 25}}, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, _, err = e.RunMicroAdaptive(q, Progressive{Interval: 3})
-	if err == nil {
-		t.Fatal("RunMicroAdaptive accepted a multi-core engine")
-	}
-	for _, want := range []string{"single-core", "Workers = 4", "ModeMicroAdaptive", "Exec"} {
-		if !strings.Contains(err.Error(), want) {
-			t.Errorf("error %q does not mention %q", err, want)
 		}
 	}
 }

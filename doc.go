@@ -50,10 +50,6 @@
 // rows are bit-identical across modes, worker counts, and Config.ScalarExec
 // (the tuple-at-a-time ablation).
 //
-// The former per-shape methods (BuildQ6, BuildScan, BuildPipeline, Run,
-// RunProgressive, RunMicroAdaptive, RunGroupBy) remain as deprecated thin
-// wrappers over Compile/Exec; see DESIGN.md for the migration table.
-//
 // # Join graphs
 //
 // JoinOn(from, key, to) declares an equi-join edge between any two plan

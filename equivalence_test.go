@@ -3,33 +3,13 @@ package progopt
 import (
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"progopt/internal/exec"
 	"progopt/internal/hw/cpu"
 	"progopt/internal/tpch"
 )
-
-// The deprecated Build*/Run* methods are thin wrappers over Compile/Exec, so
-// these property tests pin the wrapper translation AND guard the new surface
-// against behavioral drift: every (mode, workers, scalar) cell must produce
-// bit-identical results, cycle counts, and PMU counters between the old and
-// new API on independently constructed engines.
-
-// equivCases is the configuration matrix of the acceptance criterion.
-func equivCases() []Config {
-	var out []Config
-	for _, workers := range []int{1, 4} {
-		for _, scalar := range []bool{false, true} {
-			out = append(out, Config{VectorSize: 1024, Workers: workers, ScalarExec: scalar})
-		}
-	}
-	return out
-}
-
-func caseName(cfg Config) string {
-	return fmt.Sprintf("workers=%d/scalar=%v", cfg.Workers, cfg.ScalarExec)
-}
 
 // sameResult asserts full bit-identity of two results, counters included.
 func sameResult(t *testing.T, label string, a, b Result) {
@@ -58,224 +38,11 @@ func sameStats(t *testing.T, label string, a, b Stats) {
 	}
 }
 
-// q6Setup builds a fresh engine + data set + Q6 in the deliberately bad
-// reversed order, via the given builder.
-func q6Setup(t *testing.T, cfg Config, build func(e *Engine, d *Dataset) (*Query, error)) (*Engine, *Dataset, *Query) {
-	t.Helper()
-	e, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, err := e.GenerateTPCH(30000, 21, OrderNatural)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q, err := build(e, d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	qo, err := q.WithOrder([]int{4, 3, 2, 1, 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return e, d, qo
-}
-
-func buildQ6Legacy(e *Engine, d *Dataset) (*Query, error) { return e.BuildQ6(d) }
-
-// TestEquivalenceFixed: Run == Exec(ModeFixed) across the matrix.
-func TestEquivalenceFixed(t *testing.T) {
-	for _, cfg := range equivCases() {
-		t.Run(caseName(cfg), func(t *testing.T) {
-			eOld, _, qOld := q6Setup(t, cfg, buildQ6Legacy)
-			oldRes, err := eOld.Run(qOld)
-			if err != nil {
-				t.Fatal(err)
-			}
-			eNew, _, qNew := q6Setup(t, cfg, buildQ6Legacy)
-			newRes, err := eNew.Exec(qNew, ExecOptions{Mode: ModeFixed})
-			if err != nil {
-				t.Fatal(err)
-			}
-			sameResult(t, "fixed", oldRes, newRes.Result)
-		})
-	}
-}
-
-// TestEquivalenceProgressive: RunProgressive == Exec(ModeProgressive),
-// results, cycles, counters, and optimizer stats.
-func TestEquivalenceProgressive(t *testing.T) {
-	for _, cfg := range equivCases() {
-		t.Run(caseName(cfg), func(t *testing.T) {
-			p := Progressive{Interval: 5}
-			eOld, _, qOld := q6Setup(t, cfg, buildQ6Legacy)
-			oldRes, oldSt, err := eOld.RunProgressive(qOld, p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			eNew, _, qNew := q6Setup(t, cfg, buildQ6Legacy)
-			newRes, err := eNew.Exec(qNew, ExecOptions{Mode: ModeProgressive, Progressive: p})
-			if err != nil {
-				t.Fatal(err)
-			}
-			sameResult(t, "progressive", oldRes, newRes.Result)
-			sameStats(t, "progressive", oldSt, newRes.Stats)
-		})
-	}
-}
-
-// TestEquivalenceMicroAdaptive: RunMicroAdaptive == Exec(ModeMicroAdaptive)
-// on single-core engines; on multi-core engines the deprecated method must
-// refuse rather than silently report single-core cycles.
-func TestEquivalenceMicroAdaptive(t *testing.T) {
-	for _, cfg := range equivCases() {
-		t.Run(caseName(cfg), func(t *testing.T) {
-			p := Progressive{Interval: 3}
-			build := func(e *Engine, d *Dataset) (*Query, error) {
-				return e.BuildScan(d, []Predicate{
-					{Column: "l_quantity", Op: CmpLE, Int: 25},
-					{Column: "l_discount", Op: CmpLE, Float: 0.05},
-				}, false)
-			}
-			newEngine := func() (*Engine, *Query) {
-				e, err := New(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				d, err := e.GenerateTPCH(30000, 9, OrderRandom)
-				if err != nil {
-					t.Fatal(err)
-				}
-				q, err := build(e, d)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return e, q
-			}
-			eOld, qOld := newEngine()
-			oldRes, oldSt, err := eOld.RunMicroAdaptive(qOld, p)
-			if cfg.Workers > 1 {
-				if err == nil {
-					t.Fatal("RunMicroAdaptive accepted a multi-core engine")
-				}
-				return
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			eNew, qNew := newEngine()
-			newRes, err := eNew.Exec(qNew, ExecOptions{Mode: ModeMicroAdaptive, Progressive: p})
-			if err != nil {
-				t.Fatal(err)
-			}
-			sameResult(t, "micro-adaptive", oldRes, newRes.Result)
-			sameStats(t, "micro-adaptive", oldSt.Stats, newRes.Stats)
-			gotImpl := ImplStats{
-				BranchingVectors:  oldSt.BranchingVectors,
-				BranchFreeVectors: oldSt.BranchFreeVectors,
-				ImplSwitches:      oldSt.ImplSwitches,
-			}
-			if gotImpl != newRes.Impl {
-				t.Errorf("impl stats diverge: old %+v new %+v", gotImpl, newRes.Impl)
-			}
-		})
-	}
-}
-
-// TestEquivalenceGroupBy: RunGroupBy == Exec on a grouped plan — groups,
-// result, cycles, counters.
-func TestEquivalenceGroupBy(t *testing.T) {
-	for _, cfg := range equivCases() {
-		t.Run(caseName(cfg), func(t *testing.T) {
-			setup := func() (*Engine, *Dataset) {
-				e, err := New(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				d, err := e.GenerateTPCH(20000, 14, OrderRandom)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return e, d
-			}
-			eOld, dOld := setup()
-			qOld, err := eOld.BuildScan(dOld, []Predicate{
-				{Column: "l_discount", Op: CmpGE, Float: 0.05},
-			}, false)
-			if err != nil {
-				t.Fatal(err)
-			}
-			oldRows, oldRes, err := eOld.RunGroupBy(dOld, qOld, "l_quantity", "l_extendedprice")
-			if err != nil {
-				t.Fatal(err)
-			}
-			eNew, dNew := setup()
-			qNew, err := eNew.Compile(dNew, Scan("lineitem").
-				Filter("l_discount", CmpGE, 0.05).
-				GroupBy("l_quantity", "l_extendedprice"))
-			if err != nil {
-				t.Fatal(err)
-			}
-			newRes, err := eNew.Exec(qNew, ExecOptions{Mode: ModeFixed})
-			if err != nil {
-				t.Fatal(err)
-			}
-			sameResult(t, "group-by", oldRes, newRes.Result)
-			if !reflect.DeepEqual(oldRows, newRes.Groups) {
-				t.Errorf("groups diverge:\n old %v\n new %v", oldRows, newRes.Groups)
-			}
-		})
-	}
-}
-
-// TestEquivalenceBuildScanPlan: a legacy Predicate list and the typed Filter
-// chain compile to the same bound query.
-func TestEquivalenceBuildScanPlan(t *testing.T) {
-	cfg := Config{VectorSize: 1024}
-	setup := func() (*Engine, *Dataset) {
-		e, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		d, err := e.GenerateTPCH(20000, 5, OrderRandom)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return e, d
-	}
-	eOld, dOld := setup()
-	qOld, err := eOld.BuildScan(dOld, []Predicate{
-		{Column: "l_quantity", Op: CmpLT, Int: 10},
-		{Column: "l_discount", Op: CmpGE, Float: 0.05},
-	}, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	oldRes, err := eOld.Run(qOld)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eNew, dNew := setup()
-	qNew, err := eNew.Compile(dNew, Scan("lineitem").
-		Filter("l_quantity", CmpLT, 10).
-		Filter("l_discount", CmpGE, 0.05).
-		Sum("l_extendedprice * l_discount"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	newRes, err := eNew.Exec(qNew, ExecOptions{Mode: ModeFixed})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameResult(t, "scan-plan", oldRes, newRes.Result)
-}
-
-// TestBuildQ6MatchesInternalOracle ties the facade's hand-written Q6 plan to
-// the internal exec.Q6 definition (still the oracle of internal tests and
-// experiments). Unlike the wrapper-vs-Exec suites above — which compare the
-// new code path with itself — this pins the public surface against an
-// independent implementation: same data, same profile, fresh address spaces,
-// full bit-identity of results, cycles, and counters.
+// TestBuildQ6MatchesInternalOracle ties the hand-written Q6 plans (q6Plan,
+// q6ShipdatePlan) to the internal exec.Q6 definitions (still the oracle of
+// internal tests and experiments). This pins the public Compile/Exec surface
+// against an independent implementation: same data, same profile, fresh
+// address spaces, bit-identical results and cycles.
 func TestBuildQ6MatchesInternalOracle(t *testing.T) {
 	oracle := func(build func(*tpch.Dataset) (*exec.Query, error)) exec.Result {
 		di, err := tpch.Generate(tpch.Config{Lineitems: 30000, Seed: 21})
@@ -298,7 +65,7 @@ func TestBuildQ6MatchesInternalOracle(t *testing.T) {
 		}
 		return ri
 	}
-	facade := func(build func(*Engine, *Dataset) (*Query, error)) (*Query, ExecResult) {
+	facade := func(plan func(*Dataset) *Plan) (*Query, ExecResult) {
 		e, err := New(Config{VectorSize: 1024})
 		if err != nil {
 			t.Fatal(err)
@@ -307,7 +74,7 @@ func TestBuildQ6MatchesInternalOracle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		q, err := build(e, d)
+		q, err := e.Compile(d, plan(d))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -318,11 +85,11 @@ func TestBuildQ6MatchesInternalOracle(t *testing.T) {
 		return q, res
 	}
 
-	q6, res6 := facade(func(e *Engine, d *Dataset) (*Query, error) { return e.BuildQ6(d) })
+	q6, res6 := facade(func(*Dataset) *Plan { return q6Plan() })
 	ref6 := oracle(exec.Q6)
 	if res6.Qualifying != ref6.Qualifying || res6.Sum != ref6.Sum ||
 		res6.Cycles != ref6.Cycles {
-		t.Errorf("BuildQ6 diverges from exec.Q6: %d/%v/%d vs %d/%v/%d",
+		t.Errorf("q6Plan diverges from exec.Q6: %d/%v/%d vs %d/%v/%d",
 			res6.Qualifying, res6.Sum, res6.Cycles, ref6.Qualifying, ref6.Sum, ref6.Cycles)
 	}
 	di, err := tpch.Generate(tpch.Config{Lineitems: 30000, Seed: 21})
@@ -334,14 +101,14 @@ func TestBuildQ6MatchesInternalOracle(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(q6.OpNames(), qi.OpNames()) {
-		t.Errorf("BuildQ6 op names %v, exec.Q6 %v", q6.OpNames(), qi.OpNames())
+		t.Errorf("q6Plan op names %v, exec.Q6 %v", q6.OpNames(), qi.OpNames())
 	}
 
 	cutoff := di.ShipdateCutoff(0.3)
-	qs, resS := facade(func(e *Engine, d *Dataset) (*Query, error) { return e.BuildQ6Shipdate(d, d.ShipdateCutoff(0.3)) })
+	qs, resS := facade(func(d *Dataset) *Plan { return q6ShipdatePlan(d.ShipdateCutoff(0.3)) })
 	refS := oracle(func(d *tpch.Dataset) (*exec.Query, error) { return exec.Q6Shipdate(d, cutoff) })
 	if resS.Qualifying != refS.Qualifying || resS.Sum != refS.Sum || resS.Cycles != refS.Cycles {
-		t.Errorf("BuildQ6Shipdate diverges from exec.Q6Shipdate: %d/%v/%d vs %d/%v/%d",
+		t.Errorf("q6ShipdatePlan diverges from exec.Q6Shipdate: %d/%v/%d vs %d/%v/%d",
 			resS.Qualifying, resS.Sum, resS.Cycles, refS.Qualifying, refS.Sum, refS.Cycles)
 	}
 	qsi, err := exec.Q6Shipdate(di, cutoff)
@@ -349,7 +116,7 @@ func TestBuildQ6MatchesInternalOracle(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(qs.OpNames(), qsi.OpNames()) {
-		t.Errorf("BuildQ6Shipdate op names %v, exec.Q6Shipdate %v", qs.OpNames(), qsi.OpNames())
+		t.Errorf("q6ShipdatePlan op names %v, exec.Q6Shipdate %v", qs.OpNames(), qsi.OpNames())
 	}
 }
 
@@ -391,7 +158,10 @@ func TestGroupByGroundTruth(t *testing.T) {
 		if len(res.Groups) != len(sums) {
 			t.Fatalf("workers=%d: %d groups, ground truth %d", workers, len(res.Groups), len(sums))
 		}
-		for _, g := range res.Groups {
+		for i, g := range res.Groups {
+			if i > 0 && g.Key <= res.Groups[i-1].Key {
+				t.Fatalf("workers=%d: groups not sorted by key at %d", workers, i)
+			}
 			if g.Sum != sums[g.Key] || g.Count != counts[g.Key] {
 				t.Errorf("workers=%d: group %d = %v/%d, ground truth %v/%d",
 					workers, g.Key, g.Sum, g.Count, sums[g.Key], counts[g.Key])
@@ -574,21 +344,21 @@ func TestEquivalenceServedSorted(t *testing.T) {
 	}
 }
 
-// TestBuildScanRejectsCrossTable pins the satellite fix: predicates on
-// build-side tables are rejected instead of corrupting reads.
+// TestBuildScanRejectsCrossTable pins the cross-table fix: a plan without
+// JoinOn edges that filters on a build-side table's column is rejected
+// instead of indexing that shorter column with lineitem row ids.
 func TestBuildScanRejectsCrossTable(t *testing.T) {
 	e := testEngine(t)
 	d, err := e.GenerateTPCH(5000, 6, OrderNatural)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, table := range []string{"orders", "part"} {
-		col := "o_orderdate"
-		if table == "part" {
-			col = "p_size"
-		}
-		if _, err := e.BuildScan(d, []Predicate{{Table: table, Column: col, Op: CmpLE, Int: 1}}, false); err == nil {
-			t.Errorf("BuildScan accepted a predicate on %s.%s", table, col)
+	for table, col := range map[string]string{"orders": "o_orderdate", "part": "p_size"} {
+		_, err := e.Compile(d, Scan("lineitem").Filter(col, CmpLE, 1))
+		if err == nil {
+			t.Errorf("Compile accepted a predicate on %s.%s", table, col)
+		} else if !strings.Contains(err.Error(), fmt.Sprintf("belongs to %q", table)) {
+			t.Errorf("error %q does not name the owning table %q", err, table)
 		}
 	}
 }

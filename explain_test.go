@@ -11,7 +11,7 @@ func TestExplain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q, err := e.BuildQ6(d)
+	q, err := e.Compile(d, q6Plan())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +40,7 @@ func TestExplain(t *testing.T) {
 	}
 	// Predicted output within a factor of the real run (correlated shipdate
 	// and discount predicates break independence, so allow slack).
-	res, err := e.Run(q)
+	res, err := e.Exec(q, ExecOptions{Mode: ModeFixed})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,9 +73,7 @@ func TestExplainFusedGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q, err := e.BuildPipeline(d,
-		[]Predicate{{Column: "l_quantity", Op: CmpLT, Int: 25}},
-		[]JoinSpec{{Build: "orders", FilterSelectivity: 0.5}})
+	q, err := e.Compile(d, Scan("lineitem").Filter("l_quantity", CmpLT, 25).Join("orders", 0.5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +88,7 @@ func TestExplainFusedGolden(t *testing.T) {
 		t.Errorf("rendering lacks the pipeline line:\n%s", s)
 	}
 
-	q6, err := e.BuildQ6(d)
+	q6, err := e.Compile(d, q6Plan())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +127,7 @@ func TestExplainFusedGolden(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		qu, err := eu.BuildQ6(du)
+		qu, err := eu.Compile(du, q6Plan())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -152,9 +150,7 @@ func TestExplainWithJoin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q, err := e.BuildPipeline(d,
-		[]Predicate{{Column: "l_quantity", Op: CmpLT, Int: 25}},
-		[]JoinSpec{{Build: "orders", FilterSelectivity: 0.5}})
+	q, err := e.Compile(d, Scan("lineitem").Filter("l_quantity", CmpLT, 25).Join("orders", 0.5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,5 +163,42 @@ func TestExplainWithJoin(t *testing.T) {
 	}
 	if js := plan.Ops[1].TrueSelectivity; js < 0.4 || js > 0.6 {
 		t.Errorf("join selectivity %v, want ~0.5", js)
+	}
+}
+
+// TestExplainWithOrderKeepsJoins: a reordered join-graph query still
+// explains its resolved edges (WithOrder used to drop them).
+func TestExplainWithOrderKeepsJoins(t *testing.T) {
+	e := testEngine(t)
+	d, err := e.GenerateTPCH(20000, 16, OrderNatural)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := e.Compile(d, Scan("lineitem").
+		JoinOn("lineitem", "l_orderkey", "orders").
+		Filter("l_quantity", CmpLT, 25).
+		Filter("o_totalprice", CmpGE, 1000.0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	perm := make([]int, q.NumOps())
+	for i := range perm {
+		perm[i] = len(perm) - 1 - i
+	}
+	qr, err := q.WithOrder(perm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, query := range map[string]*Query{"compiled": q, "reordered": qr} {
+		ex, err := e.Explain(query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(ex.Joins) != 1 || ex.Joins[0].To != "orders" {
+			t.Errorf("%s: explained joins %+v, want the lineitem→orders edge", name, ex.Joins)
+		}
+		if !strings.Contains(ex.String(), "join graph (greedy order):") {
+			t.Errorf("%s: Explain output lacks the join-graph line:\n%s", name, ex.String())
+		}
 	}
 }

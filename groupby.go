@@ -1,9 +1,5 @@
 package progopt
 
-import (
-	"fmt"
-)
-
 // GroupRow is one output row of a grouped aggregation.
 type GroupRow struct {
 	// Key is the group key.
@@ -11,37 +7,4 @@ type GroupRow struct {
 	// Sum is the aggregated value and Count the contributing tuple count.
 	Sum   float64
 	Count int64
-}
-
-// RunGroupBy executes the query's filters and aggregates the survivors as
-// SELECT groupCol, SUM(valueCol), COUNT(*) GROUP BY groupCol, returning the
-// groups sorted by key plus the run's execution result. The hash table is
-// sized from the group column's actual key domain (min/max scan), not a
-// fixed constant, so wide-domain keys do not collide pathologically. With
-// Workers > 1 the aggregation runs morsel-parallel with per-core partial
-// hash tables merged at the barrier.
-//
-// Deprecated: attach the grouping to the plan with Plan.GroupBy and execute
-// through Exec, which this wrapper forwards to. d must be the data set the
-// query was compiled on: the group and value columns resolve from the
-// query's own driving table, and a mismatched data set is rejected (the
-// pre-redesign implementation silently read columns from d, corrupting the
-// grouping when the row counts differed).
-func (e *Engine) RunGroupBy(d *Dataset, q *Query, groupCol, valueCol string) ([]GroupRow, Result, error) {
-	if q == nil || q.q == nil {
-		return nil, Result{}, fmt.Errorf("progopt: RunGroupBy needs a compiled query")
-	}
-	if d == nil || d.d.Lineitem != q.q.Table {
-		return nil, Result{}, fmt.Errorf("progopt: RunGroupBy data set does not match the query's driving table")
-	}
-	ge, err := e.compileGroup(q.q.Table, groupCol, valueCol)
-	if err != nil {
-		return nil, Result{}, err
-	}
-	gq := &Query{q: q.q, group: ge}
-	res, err := e.Exec(gq, ExecOptions{Mode: ModeFixed})
-	if err != nil {
-		return nil, Result{}, err
-	}
-	return res.Groups, res.Result, nil
 }

@@ -89,7 +89,7 @@ func runParallelAdaptive(p *exec.Parallel, q *exec.Query, opt Options, micro boo
 		// The external accumulator keeps the aggregate's float addition in
 		// global vector order across block boundaries: Sum is bit-identical
 		// to a serial per-vector run for every worker count and interval.
-		br, err := p.RunBlockImplSum(s.Query(), v0, v1, s.Impl(), &out.Sum)
+		br, err := p.RunBlock(s.Query(), v0, v1, s.Impl(), &out.Sum)
 		if err != nil {
 			return exec.Result{}, Stats{}, err
 		}

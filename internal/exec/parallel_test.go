@@ -88,7 +88,7 @@ func TestParallelLoadBalance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	br, err := p.RunBlock(q, 0, p.NumVectors(q))
+	br, err := p.RunBlock(q, 0, p.NumVectors(q), ImplBranching, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,13 +111,13 @@ func TestParallelBlockValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	nv := p.NumVectors(q)
-	if _, err := p.RunBlock(q, -1, nv); err == nil {
+	if _, err := p.RunBlock(q, -1, nv, ImplBranching, nil); err == nil {
 		t.Error("negative block start accepted")
 	}
-	if _, err := p.RunBlock(q, 0, nv+1); err == nil {
+	if _, err := p.RunBlock(q, 0, nv+1, ImplBranching, nil); err == nil {
 		t.Error("block beyond table accepted")
 	}
-	if _, err := p.RunBlock(q, 3, 2); err == nil {
+	if _, err := p.RunBlock(q, 3, 2, ImplBranching, nil); err == nil {
 		t.Error("inverted block accepted")
 	}
 	if _, err := NewParallel(cpu.ScaledXeon(), 0, 1024); err == nil {

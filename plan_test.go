@@ -280,6 +280,9 @@ func TestParallelMicroAdaptive(t *testing.T) {
 		t.Errorf("parallel micro-adaptive result %d/%v, serial %d/%v",
 			par.Qualifying, par.Sum, serial.Qualifying, serial.Sum)
 	}
+	if serial.Impl.BranchFreeVectors == 0 {
+		t.Error("the serial driver never selected the branch-free scan")
+	}
 	if par.Impl.BranchFreeVectors == 0 {
 		t.Error("merged counters never selected the branch-free scan")
 	}

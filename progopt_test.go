@@ -3,6 +3,8 @@ package progopt
 import (
 	"math"
 	"testing"
+
+	"progopt/internal/tpch"
 )
 
 func testEngine(t *testing.T) *Engine {
@@ -12,6 +14,30 @@ func testEngine(t *testing.T) *Engine {
 		t.Fatal(err)
 	}
 	return e
+}
+
+// q6Plan is TPC-H Query 6 (five reorderable predicates plus the revenue
+// sum) as a plan; TestBuildQ6MatchesInternalOracle pins it to exec.Q6.
+func q6Plan() *Plan {
+	return Scan("lineitem").
+		Filter("l_shipdate", CmpGE, int64(tpch.Q6ShipdateLo())).Label("shipdate>=lo").
+		Filter("l_shipdate", CmpLT, int64(tpch.Q6ShipdateHi())).Label("shipdate<hi").
+		Filter("l_discount", CmpGE, tpch.Q6DiscountLo-1e-9).Label("discount>=0.05").
+		Filter("l_discount", CmpLE, tpch.Q6DiscountHi+1e-9).Label("discount<=0.07").
+		Filter("l_quantity", CmpLT, int64(tpch.Q6QuantityBound)).Label("quantity<24").
+		Sum("l_extendedprice * l_discount")
+}
+
+// q6ShipdatePlan is the introduction's modified Q6 (four predicates) with
+// the given shipdate cutoff; pinned to exec.Q6Shipdate by the same oracle
+// test.
+func q6ShipdatePlan(cutoff int32) *Plan {
+	return Scan("lineitem").
+		Filter("l_shipdate", CmpLE, int64(cutoff)).Label("shipdate<=v").
+		Filter("l_quantity", CmpLT, int64(tpch.Q6QuantityBound)).Label("quantity<24").
+		Filter("l_discount", CmpGE, tpch.Q6DiscountLo-1e-9).Label("discount>=0.05").
+		Filter("l_discount", CmpLE, tpch.Q6DiscountHi+1e-9).Label("discount<=0.07").
+		Sum("l_extendedprice * l_discount")
 }
 
 func TestNewDefaults(t *testing.T) {
@@ -53,14 +79,14 @@ func TestQ6EndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q, err := e.BuildQ6(d)
+	q, err := e.Compile(d, q6Plan())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if q.NumOps() != 5 || len(q.OpNames()) != 5 {
 		t.Fatalf("Q6 has %d ops", q.NumOps())
 	}
-	base, err := e.Run(q)
+	base, err := e.Exec(q, ExecOptions{Mode: ModeFixed})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,10 +97,11 @@ func TestQ6EndToEnd(t *testing.T) {
 		t.Error("counters missing")
 	}
 
-	prog, st, err := e.RunProgressive(q, Progressive{Interval: 5})
+	prog, err := e.Exec(q, ExecOptions{Mode: ModeProgressive, Progressive: Progressive{Interval: 5}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	st := prog.Stats
 	if prog.Qualifying != base.Qualifying {
 		t.Errorf("progressive changed results: %d vs %d", prog.Qualifying, base.Qualifying)
 	}
@@ -95,14 +122,14 @@ func TestBuildQ6ShipdateAndWithOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q, err := e.BuildQ6Shipdate(d, d.ShipdateCutoff(0.3))
+	q, err := e.Compile(d, q6ShipdatePlan(d.ShipdateCutoff(0.3)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if q.NumOps() != 4 {
 		t.Fatalf("modified Q6 has %d ops", q.NumOps())
 	}
-	r1, err := e.Run(q)
+	r1, err := e.Exec(q, ExecOptions{Mode: ModeFixed})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +137,7 @@ func TestBuildQ6ShipdateAndWithOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := e.Run(q2)
+	r2, err := e.Exec(q2, ExecOptions{Mode: ModeFixed})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,20 +149,22 @@ func TestBuildQ6ShipdateAndWithOrder(t *testing.T) {
 	}
 }
 
+// TestBuildScan runs a two-predicate selection with the revenue sum; the
+// compiler's rejection paths are covered by TestCompileValidation.
 func TestBuildScan(t *testing.T) {
 	e := testEngine(t)
 	d, err := e.GenerateTPCH(20000, 5, OrderRandom)
 	if err != nil {
 		t.Fatal(err)
 	}
-	q, err := e.BuildScan(d, []Predicate{
-		{Column: "l_quantity", Op: CmpLT, Int: 10},
-		{Column: "l_discount", Op: CmpGE, Float: 0.05},
-	}, true)
+	q, err := e.Compile(d, Scan("lineitem").
+		Filter("l_quantity", CmpLT, 10).
+		Filter("l_discount", CmpGE, 0.05).
+		Sum("l_extendedprice * l_discount"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := e.Run(q)
+	res, err := e.Exec(q, ExecOptions{Mode: ModeFixed})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,19 +176,6 @@ func TestBuildScan(t *testing.T) {
 	if res.Sum <= 0 {
 		t.Error("aggregate empty")
 	}
-
-	if _, err := e.BuildScan(d, nil, false); err == nil {
-		t.Error("empty predicate list accepted")
-	}
-	if _, err := e.BuildScan(d, []Predicate{{Column: "nope", Op: CmpLT}}, false); err == nil {
-		t.Error("unknown column accepted")
-	}
-	if _, err := e.BuildScan(d, []Predicate{{Table: "galaxy", Column: "x", Op: CmpLT}}, false); err == nil {
-		t.Error("unknown table accepted")
-	}
-	if _, err := e.BuildScan(d, []Predicate{{Column: "l_quantity", Op: "!="}}, false); err == nil {
-		t.Error("unknown comparison accepted")
-	}
 }
 
 func TestEstimateSelectivities(t *testing.T) {
@@ -168,9 +184,7 @@ func TestEstimateSelectivities(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q, err := e.BuildScan(d, []Predicate{
-		{Column: "l_quantity", Op: CmpLT, Int: 25}, // ~48%
-	}, false)
+	q, err := e.Compile(d, Scan("lineitem").Filter("l_quantity", CmpLT, 25)) // ~48%
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,37 +197,6 @@ func TestEstimateSelectivities(t *testing.T) {
 	}
 	if sels[0] < 0.38 || sels[0] > 0.58 {
 		t.Errorf("estimated selectivity %v, want ~0.48", sels[0])
-	}
-}
-
-func TestRunMicroAdaptiveFacade(t *testing.T) {
-	e := testEngine(t)
-	d, err := e.GenerateTPCH(30000, 9, OrderRandom)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Mid-selectivity predicates: the adaptive driver should use the
-	// branch-free implementation for most vectors.
-	q, err := e.BuildScan(d, []Predicate{
-		{Column: "l_quantity", Op: CmpLE, Int: 25},
-		{Column: "l_discount", Op: CmpLE, Float: 0.05},
-	}, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	base, err := e.Run(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, st, err := e.RunMicroAdaptive(q, Progressive{Interval: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Qualifying != base.Qualifying {
-		t.Errorf("micro-adaptive changed results: %d vs %d", res.Qualifying, base.Qualifying)
-	}
-	if st.BranchFreeVectors == 0 {
-		t.Error("never used the branch-free scan on mid-selectivity predicates")
 	}
 }
 
@@ -244,19 +227,19 @@ func TestWorkersFacade(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		q, err := e.BuildQ6(d)
+		q, err := e.Compile(d, q6Plan())
 		if err != nil {
 			t.Fatal(err)
 		}
-		base, err := e.Run(q)
+		base, err := e.Exec(q, ExecOptions{Mode: ModeFixed})
 		if err != nil {
 			t.Fatal(err)
 		}
-		prog, st, err := e.RunProgressive(q, Progressive{Interval: 5})
+		prog, err := e.Exec(q, ExecOptions{Mode: ModeProgressive, Progressive: Progressive{Interval: 5}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return base, prog, st
+		return base.Result, prog.Result, prog.Stats
 	}
 	serialBase, serialProg, _ := run(Config{VectorSize: 1024})
 	parBase, parProg, st := run(Config{VectorSize: 1024, Workers: 4})

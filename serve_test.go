@@ -14,8 +14,14 @@ import (
 // warm starts are designed for. withJoin appends a foreign-key join, the
 // acceptance criterion's recurring join query.
 func convergentPlan(d *Dataset, withJoin bool) *Plan {
+	return convergentPlanAt(d.ShipdateCutoff(0.8), withJoin)
+}
+
+// convergentPlanAt is convergentPlan with the 80% shipdate cutoff already
+// computed (ShipdateCutoff sorts the column, so benchmarks hoist it).
+func convergentPlanAt(ship80 int32, withJoin bool) *Plan {
 	p := Scan("lineitem").
-		Filter("l_shipdate", CmpLE, int64(d.ShipdateCutoff(0.8))).Label("ship80").
+		Filter("l_shipdate", CmpLE, int64(ship80)).Label("ship80").
 		Filter("l_discount", CmpLE, 0.05).Label("disc<=.05").
 		Filter("l_quantity", CmpLT, 10).Label("qty<10")
 	if withJoin {
