@@ -101,18 +101,17 @@ func TestQ6EndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := prog.Stats
 	if prog.Qualifying != base.Qualifying {
 		t.Errorf("progressive changed results: %d vs %d", prog.Qualifying, base.Qualifying)
 	}
 	if math.Abs(prog.Sum-base.Sum) > math.Abs(base.Sum)*1e-9 {
 		t.Error("progressive changed aggregate")
 	}
-	if st.Optimizations == 0 {
+	if prog.Stats.Optimizations == 0 {
 		t.Error("no optimizations ran")
 	}
-	if len(st.FinalOrder) != 5 {
-		t.Errorf("final order %v", st.FinalOrder)
+	if len(prog.Stats.FinalOrder) != 5 {
+		t.Errorf("final order %v", prog.Stats.FinalOrder)
 	}
 }
 
