@@ -225,28 +225,30 @@ func runStored(cfg Config, enc *columnar.EncodedTable, d *tpch.Dataset, cut int3
 	if err != nil {
 		return storedCell{}, err
 	}
+	var packed map[string]storage.PackedImage
 	if scfg.CompressedScan {
-		plan.Packed = make(map[string]storage.PackedImage, len(enc.Columns()))
+		packed = make(map[string]storage.PackedImage, len(enc.Columns()))
 		for _, ec := range enc.Columns() {
 			w := ec.PackedWidthBytes()
 			base, err := r.cpu.Alloc(ec.Rows() * w)
 			if err != nil {
 				return storedCell{}, err
 			}
-			plan.Packed[ec.Name()] = storage.PackedImage{Base: base, Width: w}
+			packed[ec.Name()] = storage.PackedImage{Base: base, Width: w}
 		}
 		for _, op := range q.Ops {
 			if p, ok := op.(*exec.Predicate); ok {
-				if img, ok := plan.Packed[p.Col.Name()]; ok {
+				if img, ok := packed[p.Col.Name()]; ok {
 					p.ScanBase, p.ScanWidth = img.Base, img.Width
 				}
 			}
 		}
 	}
-	set, err := plan.NewSet()
+	layout, err := storage.NewLayout(enc, tab, packed, scfg)
 	if err != nil {
 		return storedCell{}, err
 	}
+	set := layout.NewSet()
 	r.eng.SetStorage(&exec.StorageScan{Skip: plan.Skip, Set: set})
 	defer r.eng.SetStorage(nil)
 	r.cold()

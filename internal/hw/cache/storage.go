@@ -1,19 +1,108 @@
 package cache
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
-// StorageSet models one core's view of a persistent storage tier below DRAM.
-// Address windows of the simulated address space (the decoded image of a
-// stored column, and optionally its packed image) are registered against
-// logical blocks — the unit of transfer. Whenever a demand or prefetch
-// access misses all the way to memory, the hierarchy consults the set: if
-// the line belongs to a block that is not resident in the DRAM budget, the
-// access additionally pays a block fetch (seek latency plus the block's
-// encoded bytes over the tier bandwidth) and the block becomes resident,
-// evicting least-recently-used blocks past the budget.
+// StorageLayout is the immutable geometry of a persistent storage tier below
+// DRAM. Address windows of the simulated address space (the decoded image of
+// a stored column, and optionally its packed image) map to logical blocks —
+// the unit of transfer — each with its encoded transfer size; the layout
+// also carries the tier's pricing. It is validated once, when built, and
+// only read afterwards, so every StorageSet view minted from it (one per
+// simulated core, one per served submission) shares it, host-concurrently.
+type StorageLayout struct {
+	cfg StorageConfig
+	// ranges map address windows to logical blocks, sorted by base and
+	// non-overlapping.
+	ranges    []storRange
+	costBytes []uint64
+}
+
+// StorageWindow maps the address window [Base, Base+Span) to a logical
+// block. Several windows may share a block (a column block's decoded and
+// packed images are one residency unit).
+type StorageWindow struct {
+	Base, Span uint64
+	Block      int
+}
+
+// NewStorageLayout builds and validates a tier layout. costBytes gives each
+// logical block's encoded transfer size (block ids are its indices); the
+// layout keeps the slice, so the caller must not modify it afterwards.
+// Zero-span windows are ignored; a window naming an unknown block or
+// overlapping another window is an error.
+func NewStorageLayout(cfg StorageConfig, costBytes []uint64, windows []StorageWindow) (*StorageLayout, error) {
+	if cfg.BytesPerCycle == 0 {
+		cfg.BytesPerCycle = 1
+	}
+	ranges := make([]storRange, 0, len(windows))
+	for _, w := range windows {
+		if w.Block < 0 || w.Block >= len(costBytes) {
+			return nil, fmt.Errorf("cache: storage window at %#x names unknown block %d", w.Base, w.Block)
+		}
+		if w.Span == 0 {
+			continue
+		}
+		ranges = append(ranges, storRange{base: w.Base, end: w.Base + w.Span, block: int32(w.Block)})
+	}
+	slices.SortFunc(ranges, func(a, b storRange) int { return cmp.Compare(a.base, b.base) })
+	for i := 1; i < len(ranges); i++ {
+		if ranges[i].base < ranges[i-1].end {
+			return nil, fmt.Errorf("cache: storage windows overlap at %#x", ranges[i].base)
+		}
+	}
+	return &StorageLayout{cfg: cfg, ranges: ranges, costBytes: costBytes}, nil
+}
+
+// NumBlocks returns the logical block count.
+func (l *StorageLayout) NumBlocks() int { return len(l.costBytes) }
+
+// NewSet mints a tier view over the layout: no block resident, counters
+// zero. Its residency state is sized exactly to the layout's blocks.
+func (l *StorageLayout) NewSet() *StorageSet {
+	n := len(l.costBytes)
+	// The LRU links of a non-resident block are never read (fetch writes
+	// both before linking it), so they start zero rather than -1.
+	links := make([]int32, 2*n)
+	return &StorageSet{
+		lay:       l,
+		lastRange: -1,
+		resident:  make([]bool, n),
+		prev:      links[:n:n],
+		next:      links[n:],
+		head:      -1,
+		tail:      -1,
+	}
+}
+
+// findRange locates the window containing addr, or -1.
+func (l *StorageLayout) findRange(addr uint64) int {
+	lo, hi := 0, len(l.ranges)
+	for lo < hi {
+		mid := (lo + hi) / 2
+		if l.ranges[mid].end <= addr {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	if lo < len(l.ranges) && addr >= l.ranges[lo].base {
+		return lo
+	}
+	return -1
+}
+
+// StorageSet is one view of a storage tier: the residency and counters of
+// one simulated core (or one served submission's core) over a shared
+// StorageLayout. Whenever a demand or prefetch access misses all the way to
+// memory, the hierarchy consults the set: if the line belongs to a block
+// that is not resident in the DRAM budget, the access additionally pays a
+// block fetch (seek latency plus the block's encoded bytes over the tier
+// bandwidth) and the block becomes resident, evicting least-recently-used
+// blocks past the budget.
 //
 // The tier is an observer: it never changes which cache level satisfies an
 // access, which lines are installed, or any PMU-visible counter — it only
@@ -22,18 +111,13 @@ import (
 // in-RAM run and differs in cycles by exactly the accumulated storage
 // stalls.
 type StorageSet struct {
-	cfg StorageConfig
-
-	// ranges map address windows to logical blocks, kept sorted by base.
-	ranges []storRange
-	sorted bool
+	lay *StorageLayout
 	// lastRange memoizes the previously matched range (scans touch blocks
 	// in long sequential runs).
 	lastRange int
 
-	// Per logical block: transfer cost and residency/LRU state. The LRU is
-	// an intrusive doubly-linked list over resident blocks (head = MRU).
-	costBytes  []uint64
+	// Per logical block residency/LRU state. The LRU is an intrusive
+	// doubly-linked list over resident blocks (head = MRU).
 	resident   []bool
 	prev, next []int32
 	head, tail int32
@@ -45,6 +129,9 @@ type StorageSet struct {
 	// StorageObserver). Purely observational: set after counter updates.
 	obs StorageObserver
 }
+
+// Layout returns the shared geometry the view prices against.
+func (s *StorageSet) Layout() *StorageLayout { return s.lay }
 
 // StorageConfig prices the tier.
 type StorageConfig struct {
@@ -119,74 +206,21 @@ type storRange struct {
 	block     int32
 }
 
-// NewStorageSet builds an empty tier view.
-func NewStorageSet(cfg StorageConfig) *StorageSet {
-	if cfg.BytesPerCycle == 0 {
-		cfg.BytesPerCycle = 1
-	}
-	return &StorageSet{cfg: cfg, head: -1, tail: -1, lastRange: -1}
-}
-
-// Config returns the pricing configuration.
-func (s *StorageSet) Config() StorageConfig { return s.cfg }
-
-// NumBlocks returns the logical block count.
-func (s *StorageSet) NumBlocks() int { return len(s.costBytes) }
-
-// AddBlock registers a logical block of the given encoded transfer size and
-// returns its id.
-func (s *StorageSet) AddBlock(costBytes uint64) int {
-	s.costBytes = append(s.costBytes, costBytes)
-	s.resident = append(s.resident, false)
-	s.prev = append(s.prev, -1)
-	s.next = append(s.next, -1)
-	return len(s.costBytes) - 1
-}
-
-// AddRange maps the address window [base, base+span) to the given block.
-// Windows must not overlap; several windows may share a block (a column
-// block's decoded and packed images are one residency unit).
-func (s *StorageSet) AddRange(base, span uint64, block int) error {
-	if block < 0 || block >= len(s.costBytes) {
-		return fmt.Errorf("cache: storage range names unknown block %d", block)
-	}
-	if span == 0 {
-		return nil
-	}
-	s.ranges = append(s.ranges, storRange{base: base, end: base + span, block: int32(block)})
-	s.sorted = false
-	return nil
-}
-
-// seal sorts and validates the range table (called on first touch).
-func (s *StorageSet) seal() {
-	sort.Slice(s.ranges, func(a, b int) bool { return s.ranges[a].base < s.ranges[b].base })
-	for i := 1; i < len(s.ranges); i++ {
-		if s.ranges[i].base < s.ranges[i-1].end {
-			panic(fmt.Sprintf("cache: storage ranges overlap at %#x", s.ranges[i].base))
-		}
-	}
-	s.sorted = true
-	s.lastRange = -1
-}
-
 // Touch observes a memory-level access to addr and returns the stall cycles
 // it causes: zero for addresses outside every registered window or within a
 // resident block, the fetch cost otherwise. Resident blocks are bumped to
 // MRU either way.
 func (s *StorageSet) Touch(addr uint64) uint64 {
-	if !s.sorted {
-		s.seal()
-	}
+	ranges := s.lay.ranges
 	ri := s.lastRange
-	if ri < 0 || addr < s.ranges[ri].base || addr >= s.ranges[ri].end {
-		ri = s.findRange(addr)
+	if ri < 0 || addr < ranges[ri].base || addr >= ranges[ri].end {
+		ri = s.lay.findRange(addr)
 		if ri < 0 {
 			return 0
 		}
 		s.lastRange = ri
 	}
-	b := s.ranges[ri].block
+	b := ranges[ri].block
 	if s.resident[b] {
 		s.ctr.BlockHits++
 		s.bumpMRU(b)
@@ -195,28 +229,12 @@ func (s *StorageSet) Touch(addr uint64) uint64 {
 	return s.fetch(b)
 }
 
-// findRange locates the window containing addr, or -1.
-func (s *StorageSet) findRange(addr uint64) int {
-	lo, hi := 0, len(s.ranges)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if s.ranges[mid].end <= addr {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < len(s.ranges) && addr >= s.ranges[lo].base {
-		return lo
-	}
-	return -1
-}
-
 // fetch transfers block b in, evicting past the budget, and returns the
 // stall cycles charged.
 func (s *StorageSet) fetch(b int32) uint64 {
-	cost := s.costBytes[b]
-	stall := s.cfg.LatencyCycles + (cost+s.cfg.BytesPerCycle-1)/s.cfg.BytesPerCycle
+	cfg := &s.lay.cfg
+	cost := s.lay.costBytes[b]
+	stall := cfg.LatencyCycles + (cost+cfg.BytesPerCycle-1)/cfg.BytesPerCycle
 	s.ctr.BlockFetches++
 	s.ctr.BytesFetched += cost
 	s.ctr.StallCycles += stall
@@ -235,8 +253,8 @@ func (s *StorageSet) fetch(b int32) uint64 {
 	if s.obs != nil {
 		s.obs(StorageFetch, int(b), cost, stall)
 	}
-	if s.cfg.BudgetBytes > 0 {
-		for s.residentBytes > s.cfg.BudgetBytes && s.tail != b {
+	if cfg.BudgetBytes > 0 {
+		for s.residentBytes > cfg.BudgetBytes && s.tail != b {
 			s.evictTail()
 		}
 	}
@@ -273,7 +291,7 @@ func (s *StorageSet) evictTail() {
 		return
 	}
 	s.resident[b] = false
-	s.residentBytes -= s.costBytes[b]
+	s.residentBytes -= s.lay.costBytes[b]
 	s.ctr.Evictions++
 	if s.obs != nil {
 		s.obs(StorageEvict, int(b), 0, 0)

@@ -9,12 +9,20 @@ func storCfg() StorageConfig {
 	return StorageConfig{LatencyCycles: 1000, BytesPerCycle: 8, BudgetBytes: 0}
 }
 
-func TestStorageFetchPricing(t *testing.T) {
-	s := NewStorageSet(storCfg())
-	b := s.AddBlock(100) // ceil(100/8) = 13
-	if err := s.AddRange(0x1000, 0x800, b); err != nil {
+// newSet builds a layout over the given block costs and windows and mints
+// one view of it, failing the test if the layout is rejected.
+func newSet(t *testing.T, cfg StorageConfig, costs []uint64, windows ...StorageWindow) *StorageSet {
+	t.Helper()
+	l, err := NewStorageLayout(cfg, costs, windows)
+	if err != nil {
 		t.Fatal(err)
 	}
+	return l.NewSet()
+}
+
+func TestStorageFetchPricing(t *testing.T) {
+	// ceil(100/8) = 13
+	s := newSet(t, storCfg(), []uint64{100}, StorageWindow{Base: 0x1000, Span: 0x800, Block: 0})
 	want := uint64(1000 + 13)
 	if got := s.Touch(0x1000); got != want {
 		t.Fatalf("cold touch stall = %d, want %d", got, want)
@@ -32,26 +40,17 @@ func TestStorageFetchPricing(t *testing.T) {
 }
 
 func TestStorageZeroBandwidthDefaultsToOne(t *testing.T) {
-	s := NewStorageSet(StorageConfig{LatencyCycles: 5})
-	b := s.AddBlock(7)
-	if err := s.AddRange(0, 64, b); err != nil {
-		t.Fatal(err)
-	}
+	s := newSet(t, StorageConfig{LatencyCycles: 5}, []uint64{7}, StorageWindow{Base: 0, Span: 64, Block: 0})
 	if got := s.Touch(0); got != 5+7 {
 		t.Fatalf("stall = %d, want 12", got)
 	}
 }
 
 func TestStorageAliasRangesShareResidency(t *testing.T) {
-	s := NewStorageSet(storCfg())
-	b := s.AddBlock(64)
 	// Decoded and packed images of one logical block.
-	if err := s.AddRange(0x1000, 0x100, b); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.AddRange(0x9000, 0x40, b); err != nil {
-		t.Fatal(err)
-	}
+	s := newSet(t, storCfg(), []uint64{64},
+		StorageWindow{Base: 0x1000, Span: 0x100, Block: 0},
+		StorageWindow{Base: 0x9000, Span: 0x40, Block: 0})
 	if s.Touch(0x1000) == 0 {
 		t.Fatal("first touch should fetch")
 	}
@@ -66,14 +65,11 @@ func TestStorageAliasRangesShareResidency(t *testing.T) {
 func TestStorageLRUEviction(t *testing.T) {
 	cfg := storCfg()
 	cfg.BudgetBytes = 200 // two 100-byte blocks fit
-	s := NewStorageSet(cfg)
-	var blocks [3]int
-	for i := range blocks {
-		blocks[i] = s.AddBlock(100)
-		if err := s.AddRange(uint64(i)*0x1000, 0x100, blocks[i]); err != nil {
-			t.Fatal(err)
-		}
+	var windows []StorageWindow
+	for i := 0; i < 3; i++ {
+		windows = append(windows, StorageWindow{Base: uint64(i) * 0x1000, Span: 0x100, Block: i})
 	}
+	s := newSet(t, cfg, []uint64{100, 100, 100}, windows...)
 	s.Touch(0x0000) // fetch 0
 	s.Touch(0x1000) // fetch 1
 	s.Touch(0x0000) // hit 0 → MRU order: 0, 1
@@ -95,20 +91,14 @@ func TestStorageLRUEviction(t *testing.T) {
 func TestStorageBudgetNeverEvictsIncomingBlock(t *testing.T) {
 	cfg := storCfg()
 	cfg.BudgetBytes = 50 // smaller than any block
-	s := NewStorageSet(cfg)
-	a := s.AddBlock(100)
-	b := s.AddBlock(100)
-	if err := s.AddRange(0x0000, 0x100, a); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.AddRange(0x1000, 0x100, b); err != nil {
-		t.Fatal(err)
-	}
+	s := newSet(t, cfg, []uint64{100, 100},
+		StorageWindow{Base: 0x0000, Span: 0x100, Block: 0},
+		StorageWindow{Base: 0x1000, Span: 0x100, Block: 1})
 	s.Touch(0x0000)
 	if got := s.Touch(0x0000); got != 0 {
 		t.Fatal("oversized block must stay resident until another fetch displaces it")
 	}
-	s.Touch(0x1000) // evicts a, keeps b
+	s.Touch(0x1000) // evicts block 0, keeps block 1
 	if c := s.Counters(); c.Evictions != 1 {
 		t.Fatalf("evictions = %d, want 1", c.Evictions)
 	}
@@ -118,11 +108,7 @@ func TestStorageBudgetNeverEvictsIncomingBlock(t *testing.T) {
 }
 
 func TestStorageDropResidency(t *testing.T) {
-	s := NewStorageSet(storCfg())
-	b := s.AddBlock(64)
-	if err := s.AddRange(0, 0x100, b); err != nil {
-		t.Fatal(err)
-	}
+	s := newSet(t, storCfg(), []uint64{64}, StorageWindow{Base: 0, Span: 0x100, Block: 0})
 	first := s.Touch(0)
 	s.DropResidency()
 	if s.ResidentBytes() != 0 {
@@ -136,27 +122,60 @@ func TestStorageDropResidency(t *testing.T) {
 	}
 }
 
+// TestStorageRangeValidation: the layout constructor rejects a window over
+// an unknown block and overlapping windows, and ignores zero-span windows —
+// the geometry is checked once, when built, never mid-query.
 func TestStorageRangeValidation(t *testing.T) {
-	s := NewStorageSet(storCfg())
-	if err := s.AddRange(0, 64, 3); err == nil {
-		t.Fatal("range over unknown block accepted")
-	}
-	b := s.AddBlock(64)
-	if err := s.AddRange(0, 0, b); err != nil {
-		t.Fatal("empty range should be a no-op, not an error")
-	}
-	if err := s.AddRange(0x100, 0x100, b); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.AddRange(0x180, 0x100, b); err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("overlapping ranges must panic at seal time")
+	cfg := storCfg()
+	for _, block := range []int{-1, 1, 3} {
+		if _, err := NewStorageLayout(cfg, []uint64{64}, []StorageWindow{{Base: 0, Span: 64, Block: block}}); err == nil {
+			t.Fatalf("window over unknown block %d accepted", block)
 		}
-	}()
-	s.Touch(0x100)
+	}
+	l, err := NewStorageLayout(cfg, []uint64{64}, []StorageWindow{{Base: 0, Span: 0, Block: 0}})
+	if err != nil {
+		t.Fatalf("empty window should be a no-op, not an error: %v", err)
+	}
+	if got := l.NewSet().Touch(0); got != 0 {
+		t.Fatalf("touch inside an empty window stalled %d cycles", got)
+	}
+	// Windows given out of address order are sorted; only a true overlap
+	// is rejected (adjacent windows are fine).
+	if _, err := NewStorageLayout(cfg, []uint64{64, 64}, []StorageWindow{
+		{Base: 0x200, Span: 0x100, Block: 1},
+		{Base: 0x100, Span: 0x100, Block: 0},
+	}); err != nil {
+		t.Fatalf("adjacent windows rejected: %v", err)
+	}
+	if _, err := NewStorageLayout(cfg, []uint64{64}, []StorageWindow{
+		{Base: 0x180, Span: 0x100, Block: 0},
+		{Base: 0x100, Span: 0x100, Block: 0},
+	}); err == nil {
+		t.Fatal("overlapping windows accepted")
+	}
+}
+
+// TestStorageViewsShareLayout: views minted from one layout share its
+// geometry but not residency or counters.
+func TestStorageViewsShareLayout(t *testing.T) {
+	l, err := NewStorageLayout(storCfg(), []uint64{64}, []StorageWindow{{Base: 0, Span: 0x100, Block: 0}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := l.NewSet(), l.NewSet()
+	if a.Layout() != l || b.Layout() != l {
+		t.Fatal("views do not report their layout")
+	}
+	first := a.Touch(0)
+	if first == 0 || a.Touch(0) != 0 {
+		t.Fatal("view a: want one fetch then a hit")
+	}
+	if got := b.Touch(0); got != first {
+		t.Fatalf("view b sees view a's residency: stall %d, want %d", got, first)
+	}
+	if a.Counters() != b.Counters().Add(StorageCounters{BlockHits: 1}) {
+		t.Fatalf("counters leak across views: a %+v, b %+v", a.Counters(), b.Counters())
+	}
 }
 
 // TestStorageObserverInvariant is the tier's bit-identity contract at the
@@ -173,14 +192,14 @@ func TestStorageObserverInvariant(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := NewStorageSet(StorageConfig{LatencyCycles: 500, BytesPerCycle: 4, BudgetBytes: 1 << 14})
 	const blockBytes = 1 << 12
-	for i := 0; i < 16; i++ {
-		b := s.AddBlock(blockBytes / 2) // "compressed" to half
-		if err := s.AddRange(uint64(i)*blockBytes, blockBytes, b); err != nil {
-			t.Fatal(err)
-		}
+	costs := make([]uint64, 16)
+	windows := make([]StorageWindow, 16)
+	for i := range costs {
+		costs[i] = blockBytes / 2 // "compressed" to half
+		windows[i] = StorageWindow{Base: uint64(i) * blockBytes, Span: blockBytes, Block: i}
 	}
+	s := newSet(t, StorageConfig{LatencyCycles: 500, BytesPerCycle: 4, BudgetBytes: 1 << 14}, costs, windows...)
 	stored.AttachStorage(s)
 
 	for i := 0; i < 20000; i++ {
@@ -223,13 +242,13 @@ func TestStorageObserverInvariant(t *testing.T) {
 }
 
 func TestStorageSequentialMemo(t *testing.T) {
-	s := NewStorageSet(storCfg())
-	for i := 0; i < 4; i++ {
-		b := s.AddBlock(256)
-		if err := s.AddRange(uint64(i)*0x1000, 0x1000, b); err != nil {
-			t.Fatal(err)
-		}
+	costs := make([]uint64, 4)
+	windows := make([]StorageWindow, 4)
+	for i := range costs {
+		costs[i] = 256
+		windows[i] = StorageWindow{Base: uint64(i) * 0x1000, Span: 0x1000, Block: i}
 	}
+	s := newSet(t, storCfg(), costs, windows...)
 	// A forward scan touching every 64 bytes: exactly 4 fetches, rest hits.
 	for a := uint64(0); a < 4*0x1000; a += 64 {
 		s.Touch(a)

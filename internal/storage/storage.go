@@ -1,15 +1,16 @@
 // Package storage compiles stored (PCOL v2) tables into executable scan
 // plans: it prunes blocks against predicate bounds using the format's zone
 // maps, derives per-vector skip verdicts for the execution engine, and
-// builds the per-core storage-tier views (cache.StorageSet) that price cold
+// builds the stored table's storage-tier geometry (cache.StorageLayout) from
+// which per-core tier views (cache.StorageSet) are minted to price cold
 // scans through the full simulated hierarchy — caches, DRAM, and the
 // below-DRAM block tier.
 //
 // The package sits between the columnar codec (block geometry, zone maps,
 // encodings) and the execution engine (vector geometry, predicate ops). It
-// holds no mutable execution state itself: plans are immutable once built,
-// and each core receives its own StorageSet because residency and counters
-// are simulation state.
+// holds no mutable execution state itself: plans and layouts are immutable
+// once built, and each core receives its own StorageSet view because
+// residency and counters are simulation state.
 package storage
 
 import (
@@ -68,9 +69,6 @@ type Plan struct {
 	// Skip is Pruned translated to the engine's vector geometry: vector v is
 	// skippable iff every block overlapping it is pruned.
 	Skip []bool
-	// Packed locates each column's packed image; nil when compressed
-	// scanning is off.
-	Packed map[string]PackedImage
 
 	cfg Config
 }
@@ -106,9 +104,10 @@ func (p *Plan) VectorsSkipped() int {
 // Compile builds the stored-scan plan for a query over the decoded image of
 // enc: block pruning and vector skip verdicts from the query's predicate
 // ops (when cfg.SkipScan), in the given vector geometry. The decoded table
-// must be the query's driving table. Packed images are registered
-// separately (the caller allocates them after all ordinary binds, to keep
-// the faithful configuration address-identical to an in-RAM run).
+// must be the query's driving table. The tier geometry is built separately
+// (NewLayout), once the caller has allocated any packed images after all
+// ordinary binds, keeping the faithful configuration address-identical to
+// an in-RAM run.
 func Compile(enc *columnar.EncodedTable, tab *columnar.Table, q *exec.Query, vectorSize int, cfg Config) (*Plan, error) {
 	if enc == nil || tab == nil {
 		return nil, fmt.Errorf("storage: Compile needs an encoded table and its decoded image")
@@ -207,17 +206,20 @@ func skipVectors(pruned []bool, blockRows, numRows, vectorSize int) []bool {
 	return skip
 }
 
-// NewSet builds one core's storage-tier view of the plan: one logical block
-// per (column, block) — the unit the tier transfers, costing the block's
-// encoded bytes — with the decoded address window and, when present, the
-// packed image's window aliased onto it. Every core of a run gets its own
-// set over identical geometry, so residency evolves per simulated core and
-// stays deterministic.
-func (p *Plan) NewSet() (*cache.StorageSet, error) {
-	s := cache.NewStorageSet(p.cfg.tierConfig())
-	blockRows := uint64(p.Enc.BlockRows())
-	for _, ec := range p.Enc.Columns() {
-		dc := p.Tab.Column(ec.Name())
+// NewLayout builds the stored table's storage-tier geometry: one logical
+// block per (column, block) — the unit the tier transfers, costing the
+// block's encoded bytes — with the decoded address window and, when the
+// column has a packed image, that image's window aliased onto it. The
+// geometry depends only on the table, its bound addresses and the packed
+// images, so it is built once per stored table; every core of every run
+// prices against it through its own view (cache.StorageLayout.NewSet),
+// residency evolving per view and staying deterministic.
+func NewLayout(enc *columnar.EncodedTable, tab *columnar.Table, packed map[string]PackedImage, cfg Config) (*cache.StorageLayout, error) {
+	var costBytes []uint64
+	var windows []cache.StorageWindow
+	blockRows := uint64(enc.BlockRows())
+	for _, ec := range enc.Columns() {
+		dc := tab.Column(ec.Name())
 		if dc == nil {
 			return nil, fmt.Errorf("storage: decoded image misses column %q", ec.Name())
 		}
@@ -226,24 +228,18 @@ func (p *Plan) NewSet() (*cache.StorageSet, error) {
 		}
 		base := dc.Base()
 		w := uint64(dc.Width())
-		var pk PackedImage
-		if p.Packed != nil {
-			pk = p.Packed[ec.Name()]
-		}
+		pk := packed[ec.Name()]
 		for b := 0; b < ec.NumBlocks(); b++ {
-			id := s.AddBlock(uint64(ec.BlockEncodedBytes(b)))
+			id := len(costBytes)
+			costBytes = append(costBytes, uint64(ec.BlockEncodedBytes(b)))
 			lo := uint64(b) * blockRows
 			rows := uint64(ec.Block(b).Rows)
-			if err := s.AddRange(base+lo*w, rows*w, id); err != nil {
-				return nil, err
-			}
+			windows = append(windows, cache.StorageWindow{Base: base + lo*w, Span: rows * w, Block: id})
 			if pk.Width > 0 {
 				pw := uint64(pk.Width)
-				if err := s.AddRange(pk.Base+lo*pw, rows*pw, id); err != nil {
-					return nil, err
-				}
+				windows = append(windows, cache.StorageWindow{Base: pk.Base + lo*pw, Span: rows * pw, Block: id})
 			}
 		}
 	}
-	return s, nil
+	return cache.NewStorageLayout(cfg.tierConfig(), costBytes, windows)
 }

@@ -147,18 +147,20 @@ func TestPruneBlocksForeignPredicate(t *testing.T) {
 	}
 }
 
-// TestNewSetBinding: NewSet requires a bound decoded image and builds one
-// logical block per (column, block) with the packed image aliased on.
+// TestNewSetBinding: NewLayout requires a bound decoded image and builds one
+// logical block per (column, block) with the packed image aliased on; the
+// sets minted from it price touches against that geometry.
 func TestNewSetBinding(t *testing.T) {
 	enc, tab, c := testTable(t, 1000, 256)
-	p, err := Compile(enc, tab, nil, 256, Config{LatencyCycles: 10, BytesPerCycle: 4})
+	cfg := Config{LatencyCycles: 10, BytesPerCycle: 4}
+	l, err := NewLayout(enc, tab, nil, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := p.NewSet()
-	if err != nil {
-		t.Fatal(err)
+	if want := len(enc.Columns()) * enc.NumBlocks(); l.NumBlocks() != want {
+		t.Errorf("layout has %d blocks, want %d", l.NumBlocks(), want)
 	}
+	s := l.NewSet()
 	// Touch one decoded address per column: each first touch fetches that
 	// column's block once.
 	var stalls uint64
@@ -181,11 +183,12 @@ func TestNewSetBinding(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p.Packed = map[string]PackedImage{enc.Columns()[0].Name(): {Base: base, Width: pw}}
-	s2, err := p.NewSet()
+	packed := map[string]PackedImage{enc.Columns()[0].Name(): {Base: base, Width: pw}}
+	l2, err := NewLayout(enc, tab, packed, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	s2 := l2.NewSet()
 	s2.Touch(tab.Column(enc.Columns()[0].Name()).Base())
 	before := s2.Counters()
 	if st := s2.Touch(base); st != 0 {
@@ -197,17 +200,20 @@ func TestNewSetBinding(t *testing.T) {
 			before.BlockFetches, after.BlockFetches, before.BlockHits, after.BlockHits)
 	}
 
+	// A packed image overlapping the decoded image is rejected when the
+	// layout is built.
+	bad := map[string]PackedImage{enc.Columns()[0].Name(): {Base: tab.Column(enc.Columns()[1].Name()).Base(), Width: pw}}
+	if _, err := NewLayout(enc, tab, bad, cfg); err == nil {
+		t.Error("packed image overlapping a decoded column accepted")
+	}
+
 	// An unbound image is rejected.
 	enc3, _, _ := testTable(t, 500, 128)
 	unbound, err := enc3.Decode()
 	if err != nil {
 		t.Fatal(err)
 	}
-	p3, err := Compile(enc3, unbound, nil, 128, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p3.NewSet(); err == nil {
+	if _, err := NewLayout(enc3, unbound, nil, Config{}); err == nil {
 		t.Error("unbound decoded image accepted")
 	}
 }

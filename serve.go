@@ -303,10 +303,7 @@ func (s *Server) SubmitAt(d *Dataset, p *Plan, opts ExecOptions, arrival uint64)
 	}
 	var stviews []*exec.StorageScan
 	if q.storage != nil {
-		stviews, err = q.storage.freshViews()
-		if err != nil {
-			return nil, err
-		}
+		stviews = q.storage.freshViews(s.e.workers)
 		req.Storage = stviews
 	}
 	tk, err := s.svc.Submit(req)

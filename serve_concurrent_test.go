@@ -184,10 +184,7 @@ func runSharedStorageTrace(t *testing.T) sharedStorObs {
 	if err != nil {
 		t.Fatal(err)
 	}
-	shared, err := q.storage.plan.NewSet()
-	if err != nil {
-		t.Fatal(err)
-	}
+	shared := q.storage.layout.NewSet()
 	svc, err := service.New(e.cpu.Profile(), e.workers, e.eng.VectorSize(), e.scalar, service.Config{MaxActive: 3})
 	if err != nil {
 		t.Fatal(err)
@@ -211,9 +208,7 @@ func runSharedStorageTrace(t *testing.T) sharedStorObs {
 		for i := range views {
 			set := shared
 			if i != j {
-				if set, err = q.storage.plan.NewSet(); err != nil {
-					t.Fatal(err)
-				}
+				set = q.storage.layout.NewSet()
 			}
 			views[i] = &exec.StorageScan{Skip: q.storage.plan.Skip, Set: set}
 		}

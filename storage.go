@@ -65,20 +65,23 @@ func (c *StorageConfig) planConfig() storage.Config {
 
 // storedTable is one data set's stored driving table materialized in one
 // engine: the encoded table, its decoded image (bound into the engine's
-// address space by the first Compile), and — for compressed scans — the
-// packed images, allocated once after every ordinary bind.
+// address space by the first Compile), for compressed scans the packed
+// images, allocated once after every ordinary bind, and the tier geometry
+// over those addresses, built by the same first Compile.
 type storedTable struct {
 	enc    *columnar.EncodedTable
 	tab    *columnar.Table
 	packed map[string]storage.PackedImage
+	layout *cache.StorageLayout
 }
 
-// storedQuery is a compiled query's stored-scan state: the immutable plan
-// plus one engine attachment per simulated core (each with a private tier
-// view).
+// storedQuery is a compiled query's stored-scan state: the immutable plan,
+// the stored table's shared tier geometry, and one engine attachment per
+// simulated core (each with a private tier view over that geometry).
 type storedQuery struct {
-	plan  *storage.Plan
-	views []*exec.StorageScan
+	plan   *storage.Plan
+	layout *cache.StorageLayout
+	views  []*exec.StorageScan
 }
 
 // StorageStats reports a stored scan: the plan's zone-map pruning and the
@@ -121,7 +124,8 @@ func (e *Engine) storedLineitem(d *Dataset) (*storedTable, error) {
 // freshly compiled and bound query. Packed images (compressed scan) are
 // allocated on first use, after every ordinary bind of the engine's first
 // compile, so a faithful configuration stays address-identical to an in-RAM
-// engine.
+// engine; the tier geometry over them is built and validated right after,
+// once per stored table.
 func (e *Engine) compileStorage(st *storedTable, q *exec.Query) (*storedQuery, error) {
 	plan, err := storage.Compile(st.enc, st.tab, q, e.eng.VectorSize(), e.stcfg.planConfig())
 	if err != nil {
@@ -139,7 +143,6 @@ func (e *Engine) compileStorage(st *storedTable, q *exec.Query) (*storedQuery, e
 				st.packed[ec.Name()] = storage.PackedImage{Base: base, Width: w}
 			}
 		}
-		plan.Packed = st.packed
 		for _, op := range q.Ops {
 			p, ok := op.(*exec.Predicate)
 			if !ok {
@@ -150,15 +153,15 @@ func (e *Engine) compileStorage(st *storedTable, q *exec.Query) (*storedQuery, e
 			}
 		}
 	}
-	views := make([]*exec.StorageScan, e.workers)
-	for i := range views {
-		set, err := plan.NewSet()
+	if st.layout == nil {
+		st.layout, err = storage.NewLayout(st.enc, st.tab, st.packed, e.stcfg.planConfig())
 		if err != nil {
 			return nil, err
 		}
-		views[i] = &exec.StorageScan{Skip: plan.Skip, Set: set}
 	}
-	return &storedQuery{plan: plan, views: views}, nil
+	sq := &storedQuery{plan: plan, layout: st.layout}
+	sq.views = sq.freshViews(e.workers)
+	return sq, nil
 }
 
 // attachStorage installs the query's stored-scan state on every core the run
@@ -194,20 +197,17 @@ func (e *Engine) detachStorage() {
 	}
 }
 
-// freshViews builds a new per-core set of tier views over the same plan —
-// one per pool core, residency starting cold. The workload server gives each
-// submission its own views so concurrently served queries sharing a cached
-// plan never share residency state.
-func (s *storedQuery) freshViews() ([]*exec.StorageScan, error) {
-	views := make([]*exec.StorageScan, len(s.views))
+// freshViews mints one tier view per core (n cores) over the query's plan
+// and the stored table's shared geometry, residency starting cold. Compile
+// attaches one set to the query; the workload server gives each submission
+// its own, so concurrently served queries sharing a cached plan never share
+// residency state — only the read-only geometry.
+func (s *storedQuery) freshViews(n int) []*exec.StorageScan {
+	views := make([]*exec.StorageScan, n)
 	for i := range views {
-		set, err := s.plan.NewSet()
-		if err != nil {
-			return nil, err
-		}
-		views[i] = &exec.StorageScan{Skip: s.plan.Skip, Set: set}
+		views[i] = &exec.StorageScan{Skip: s.plan.Skip, Set: s.layout.NewSet()}
 	}
-	return views, nil
+	return views
 }
 
 // storageStats folds the plan facts and the run's tier-counter deltas into

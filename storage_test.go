@@ -6,6 +6,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"progopt/internal/exec"
 )
 
 // The storage acceptance criterion: a plan over the stored (PCOL v2) data
@@ -493,4 +495,154 @@ func TestStoredJoin(t *testing.T) {
 			t.Errorf("workers=%d: PMU counters diverge", workers)
 		}
 	}
+}
+
+// TestStoredCompileAllocsFlat pins that a stored Compile on a warm engine
+// does work proportional to the query, not to the stored table: the tier
+// geometry is built once per stored table, by the engine's first Compile,
+// and every later Compile only mints per-core residency views over it. The
+// test compares two malloc counts, at 50k and 200k rows (4x the blocks), so
+// no byte threshold is involved.
+func TestStoredCompileAllocsFlat(t *testing.T) {
+	stcfg := &StorageConfig{LatencyCycles: 300, BytesPerCycle: 8, SkipScan: true, CompressedScan: true}
+	for _, workers := range []int{1, 4} {
+		var allocs [2]float64
+		for i, rows := range []int{50_000, 200_000} {
+			e, err := New(Config{VectorSize: 1024, Workers: workers, Storage: stcfg})
+			if err != nil {
+				t.Fatal(err)
+			}
+			d, err := e.GenerateTPCH(rows, 21, OrderSorted)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p := storedQ6Plan()
+			compile := func() {
+				if _, err := e.Compile(d, p); err != nil {
+					t.Fatal(err)
+				}
+			}
+			compile() // warm: the stored table, its binds, packed images and layout
+			allocs[i] = testing.AllocsPerRun(5, compile)
+			e.Close()
+		}
+		if allocs[0] != allocs[1] {
+			t.Errorf("workers=%d: stored Compile mallocs grow with the table: %v at 50k rows, %v at 200k",
+				workers, allocs[0], allocs[1])
+		}
+	}
+}
+
+// TestStoredLayoutShared: stored queries compiled on one engine, and served
+// submissions of one cached plan, share the stored table's tier geometry but
+// each hold private residency. Running A, B, A on one engine reproduces, run
+// by run, the results and tier stats of each query on a fresh engine — every
+// Exec is a cold scan over the shared geometry.
+func TestStoredLayoutShared(t *testing.T) {
+	cfg := Config{VectorSize: 1024, Workers: 4, Storage: &StorageConfig{
+		BlockRows: 2048, LatencyCycles: 300, BytesPerCycle: 8,
+		ResidentBytes: 64 << 10, SkipScan: true, CompressedScan: true,
+	}}
+	planB := func() *Plan {
+		return Scan("lineitem").
+			Filter("l_shipdate", CmpGE, 9500).
+			Filter("l_quantity", CmpLT, 10).
+			Sum("l_extendedprice * l_discount")
+	}
+	fresh := func(p *Plan) ExecResult {
+		e, _, q := storedSetup(t, cfg, OrderSorted, p)
+		defer e.Close()
+		r, err := e.Exec(q, ExecOptions{Mode: ModeFixed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	wantA, wantB := fresh(storedQ6Plan()), fresh(planB())
+
+	e, d, qa := storedSetup(t, cfg, OrderSorted, storedQ6Plan())
+	defer e.Close()
+	qb, err := e.Compile(d, planB())
+	if err != nil {
+		t.Fatal(err)
+	}
+	layout := qa.storage.layout
+	if qb.storage.layout != layout {
+		t.Fatal("two stored queries on one engine built separate layouts")
+	}
+	distinctViews := func(label string, a, b []*exec.StorageScan) {
+		t.Helper()
+		for i := range a {
+			if a[i].Set == b[i].Set {
+				t.Errorf("%s: core %d shares a tier view", label, i)
+			}
+			if a[i].Set.Layout() != layout || b[i].Set.Layout() != layout {
+				t.Errorf("%s: core %d view is not over the stored table's layout", label, i)
+			}
+		}
+	}
+	distinctViews("compiled A/B", qa.storage.views, qb.storage.views)
+
+	for i, run := range []struct {
+		q    *Query
+		want ExecResult
+	}{{qa, wantA}, {qb, wantB}, {qa, wantA}} {
+		got, err := e.Exec(run.q, ExecOptions{Mode: ModeFixed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		label := fmt.Sprintf("run %d", i)
+		if got.Qualifying != run.want.Qualifying || got.Sum != run.want.Sum {
+			t.Errorf("%s: answer %d/%v, fresh engine %d/%v", label, got.Qualifying, got.Sum, run.want.Qualifying, run.want.Sum)
+		}
+		// Every PMU event but cycles must match. A core's cycle count is the
+		// floor of its running quarter-cycle total, so a run on a used engine
+		// may read one cycle per core off the fresh run (as in-RAM engines do
+		// too); the tier's share of the time is its exact stall delta below.
+		if !reflect.DeepEqual(countersWithoutCycles(run.want.Counters), countersWithoutCycles(got.Counters)) {
+			t.Errorf("%s: PMU counters diverge from a fresh engine:\n fresh  %v\n shared %v", label, run.want.Counters, got.Counters)
+		}
+		if !reflect.DeepEqual(run.want.Storage, got.Storage) {
+			t.Errorf("%s: storage stats diverge from a fresh engine:\n fresh  %+v\n shared %+v", label, run.want.Storage, got.Storage)
+		}
+	}
+
+	srv, err := NewServer(e, ServerConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	var tks [2]*Ticket
+	for i := range tks {
+		if tks[i], err = srv.Submit(d, storedQ6Plan(), ExecOptions{Mode: ModeFixed}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !tks[1].planHit {
+		t.Fatal("second submission missed the plan cache")
+	}
+	distinctViews("served", tks[0].stviews, tks[1].stviews)
+	for i, tk := range tks {
+		got, err := tk.Wait()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Qualifying != wantA.Qualifying || got.Sum != wantA.Sum {
+			t.Errorf("served %d: answer %d/%v, want %d/%v", i, got.Qualifying, got.Sum, wantA.Qualifying, wantA.Sum)
+		}
+		if got.Storage == nil || got.Storage.BlockFetches == 0 {
+			t.Errorf("served %d: tier view saw no traffic: %+v", i, got.Storage)
+		}
+	}
+}
+
+// countersWithoutCycles copies a PMU counter map minus the cycles event.
+func countersWithoutCycles(c map[string]uint64) map[string]uint64 {
+	out := make(map[string]uint64, len(c))
+	for k, v := range c {
+		if k != "cycles" {
+			out[k] = v
+		}
+	}
+	return out
 }
